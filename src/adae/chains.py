@@ -63,9 +63,12 @@ def build_chain(p: MatrixPencil, mu: complex, side: str = "left",
 
     Levels are built one at a time and the chain stops at the first k with
     V_k = V_{k+1} and W_k = W_{k+1}, so a stabilized chain holds
-    V_0..V_{k+1} and W_0..W_{k+1}.  `max_k` (default n) is only an upper
-    bound: a chain still unstable at max_k holds all max_k + 2 levels and
-    has stabilization_k None.
+    V_0..V_{k+1} and W_0..W_{k+1}.  By rank-nullity dim V_j + dim W_j = n
+    at every level; once a computed level breaks that, its rank decisions
+    contradict each other, and the chain is never declared stable (a
+    plateau there is not the splitting V_k (+) W_k).  `max_k` (default n)
+    is only an upper bound: a chain not stabilized by max_k holds all
+    max_k + 2 levels and has stabilization_k None.
     """
     R = pseudo_resolvent(p, mu, side)
     n = R.shape[0]
@@ -78,12 +81,14 @@ def build_chain(p: MatrixPencil, mu: complex, side: str = "left",
     chain = SubspaceChain(mu=mu, side=side,
                           V=[Subspace.full(n)], W=[Subspace.zero(n)])
     V, W = chain.V, chain.W
+    consistent = True
     for j in range(max_k + 1):
         V.append(range_basis(R @ V[j].basis, pol))
         # ker R^{j+1} = preimage of ker R^j under R
         Pw = W[j].projector()
         W.append(null_basis((np.eye(n) - Pw) @ R, pol))
-        if (subspace_distance(V[j], V[j + 1]) < tol
+        consistent = consistent and V[j + 1].dim + W[j + 1].dim == n
+        if (consistent and subspace_distance(V[j], V[j + 1]) < tol
                 and subspace_distance(W[j], W[j + 1]) < tol):
             chain.stabilization_k = j
             break

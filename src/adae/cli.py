@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .chains import build_chain, build_staircase, y_impli_check
+from .chains import build_staircase, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
 from .growth import (
@@ -21,11 +21,8 @@ from .growth import (
     certify_D2,
     check_left_dissipativity,
     index_comparison_report,
-    _pick_mu,
 )
 from .io import (
-    pencil_from_dict,
-    pencil_to_dict,
     read_pencil_json,
     write_json,
     write_pencil_json,
@@ -41,7 +38,6 @@ from .models import (
     weierstrass_pencil,
 )
 from .numerics import TolerancePolicy
-from .pencil import MatrixPencil
 from .solver import implicit_euler_reference, solve_decoupled, solve_homogeneous
 
 
@@ -147,8 +143,7 @@ def cmd_analyze(args):
                            np.log10(args.lambda_max), args.lambda_points),
         omega=0.0)
     rep = index_comparison_report(p, grid)
-    mu = _pick_mu(p)
-    chain = build_chain(p, mu, side="left")
+    mu, chain = rep["wong_mu"], rep["wong_chain"]
     stair = build_staircase(p, mu, side="left")
     try:
         yimp = y_impli_check(p)

@@ -25,15 +25,9 @@ from .numerics import (
     qz_canonical,
     range_basis,
     rank_with_tol,
-    subspace_distance,
     subspace_intersection,
 )
-from .pencil import (
-    MatrixPencil,
-    left_resolvent,
-    pseudo_resolvent,
-    resolvent_at,
-)
+from .pencil import MatrixPencil, pseudo_resolvent, resolvent_at
 
 __all__ = [
     "LambdaGrid",
@@ -98,22 +92,31 @@ class GrowthCertificate:
         }
 
 
-def _grid_norms(p, grid, matrix_fn):
-    """Evaluate ||matrix_fn(lam)|| over the grid, shrinking past failures."""
-    lams, norms = [], []
+def _grid_sweep(grid, sample, width):
+    """Evaluate sample(lam, first) over the grid, shrinking past failures.
+
+    `sample` returns `width` norms at lam; `first` is True when no point
+    below lam is kept.  A NotInResolventSet at lam drops every point below
+    it.  Returns the kept points, an array with one row of norms per kept
+    point, and the highest failing lambda (None if none failed).
+    """
+    lams, rows = [], []
     failed_at = None
     for lam in grid.points:
         try:
-            norms.append(float(np.linalg.norm(matrix_fn(lam), 2)))
+            rows.append(sample(lam, not lams))
             lams.append(float(lam))
         except NotInResolventSet:
             failed_at = lam
-            lams, norms = [], []  # keep only points above the failure
+            lams, rows = [], []  # keep only points above the failure
+    return np.array(lams), np.array(rows, dtype=float).reshape(-1, width), failed_at
+
+
+def _warn_shrunk(failed_at, kept):
     if failed_at is not None:
         warnings.warn(
             f"resolvent unavailable at lambda={failed_at:.3e}; "
-            f"grid shrunk to {len(lams)} points above it")
-    return np.array(lams), np.array(norms)
+            f"grid shrunk to {kept} points above it")
 
 
 def _slope_fit(lams, norms):
@@ -134,48 +137,64 @@ def _slope_fit(lams, norms):
     return float(coef[0]), resid
 
 
-def estimate_G_index(p: MatrixPencil, grid: LambdaGrid | None = None,
-                     side: str = "left") -> GrowthCertificate:
-    """Smallest k with lambda^(2-k) ||R(lambda)|| bounded, from a slope fit."""
-    if grid is None:
-        grid = LambdaGrid.default()
-    lams, norms = _grid_norms(p, grid, lambda l: pseudo_resolvent(p, l, side))
+def _index_certificate(kind, grid, lams, norms):
+    """Smallest k with lambda^(c-k) ||.|| bounded (c = 2 for G, 1 for R)."""
+    c = 2 if kind == "G" else 1
     if lams.size < 4:
-        return GrowthCertificate("G", 0, grid.omega, np.inf, "inconclusive",
+        return GrowthCertificate(kind, 0, grid.omega, np.inf, "inconclusive",
                                  detail="too few usable grid points")
     slope, resid = _slope_fit(lams, norms)
     if slope == -np.inf:
         k = 0
         M = 0.0
     else:
-        k = max(0, ceil(slope - 0.1) + 2)
-        M = float(np.max(lams ** (2 - k) * norms))
+        k = max(0, ceil(slope - 0.1) + c)
+        M = float(np.max(lams ** (c - k) * norms))
     verdict = "holds" if resid < 0.2 else "inconclusive"
-    return GrowthCertificate("G", k, grid.omega, M, verdict,
+    return GrowthCertificate(kind, k, grid.omega, M, verdict,
                              evidence=list(zip(lams, norms)),
                              detail=f"slope {slope:.3f}, fit residual {resid:.3f}")
+
+
+def _growth_certificates(p, grid, kinds):
+    """G/R index estimates from one certified inverse per lambda.
+
+    `kinds` holds "left"/"right" (G_k on that pseudo-resolvent) and "R"
+    (R_k).  Each lambda inverts lam*E - A once and takes every requested
+    norm from it; the inverse is dropped before the next lambda.
+    """
+    if grid is None:
+        grid = LambdaGrid.default()
+
+    def sample(lam, first):
+        res = resolvent_at(p, lam).inverse  # (lam E - A)^-1
+        # pivoted LU commutes with negation, so -res is bitwise the inverse
+        # of A - lam E that the pseudo-resolvents are built from
+        mats = {"R": lambda: res, "left": lambda: p.E @ (-res),
+                "right": lambda: (-res) @ p.E}
+        return [np.linalg.norm(mats[kind](), 2) for kind in kinds]
+
+    lams, norms, failed_at = _grid_sweep(grid, sample, len(kinds))
+    certs = []
+    for j, kind in enumerate(kinds):
+        _warn_shrunk(failed_at, lams.size)
+        certs.append(_index_certificate("R" if kind == "R" else "G", grid,
+                                        lams, norms[:, j]))
+    return certs
+
+
+def estimate_G_index(p: MatrixPencil, grid: LambdaGrid | None = None,
+                     side: str = "left") -> GrowthCertificate:
+    """Smallest k with lambda^(2-k) ||R(lambda)|| bounded, from a slope fit."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _growth_certificates(p, grid, (side,))[0]
 
 
 def estimate_R_index(p: MatrixPencil,
                      grid: LambdaGrid | None = None) -> GrowthCertificate:
     """Smallest k with lambda^(1-k) ||(lambda E - A)^-1|| bounded."""
-    if grid is None:
-        grid = LambdaGrid.default()
-    lams, norms = _grid_norms(p, grid, lambda l: resolvent_at(p, l).inverse)
-    if lams.size < 4:
-        return GrowthCertificate("R", 0, grid.omega, np.inf, "inconclusive",
-                                 detail="too few usable grid points")
-    slope, resid = _slope_fit(lams, norms)
-    if slope == -np.inf:
-        k = 0
-        M = 0.0
-    else:
-        k = max(0, ceil(slope - 0.1) + 1)
-        M = float(np.max(lams ** (1 - k) * norms))
-    verdict = "holds" if resid < 0.2 else "inconclusive"
-    return GrowthCertificate("R", k, grid.omega, M, verdict,
-                             evidence=list(zip(lams, norms)),
-                             detail=f"slope {slope:.3f}, fit residual {resid:.3f}")
+    return _growth_certificates(p, grid, ("R",))[0]
 
 
 def _ran_R_power(p, omega, power, side):
@@ -208,17 +227,24 @@ def check_Dk(p: MatrixPencil, k: int, grid: LambdaGrid | None = None,
         return GrowthCertificate("D", k, omega, 0.0, "holds",
                                  detail="restriction subspace is trivial")
 
-    def restricted(l):
-        return pseudo_resolvent(p, l, side) @ Q.basis
+    def sample(lam, first):
+        R = pseudo_resolvent(p, lam, side)
+        # at k = 1 the restriction subspace is the whole space
+        nrm = np.linalg.norm(R if k == 1 else R @ Q.basis, 2)
+        # ||R(lam)|| at the lowest kept point scales the vanishing test
+        if k == 1:
+            return nrm, nrm
+        return nrm, np.linalg.norm(R, 2) if first else np.nan
 
-    lams, norms = _grid_norms(p, grid, restricted)
+    lams, rows, failed_at = _grid_sweep(grid, sample, 2)
+    _warn_shrunk(failed_at, lams.size)
     if lams.size < 4:
         return GrowthCertificate("D", k, omega, np.inf, "inconclusive",
                                  detail="too few usable grid points")
+    norms, scale = rows[:, 0], rows[0, 1]
     vals = (lams - omega) * norms
     M = float(np.max(vals))
     # restricted resolvent vanishing identically: vals are pure noise
-    scale = np.linalg.norm(pseudo_resolvent(p, lams[0], side), 2)
     if M <= 1e-10 * max(scale, 1.0):
         return GrowthCertificate("D", k, omega, M, "holds",
                                  evidence=list(zip(lams, vals)),
@@ -414,11 +440,8 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
     """
     from .chains import build_chain
 
-    if grid is None:
-        grid = LambdaGrid.default()
-    g_left = estimate_G_index(p, grid, side="left")
-    g_right = estimate_G_index(p, grid, side="right")
-    r_cert = estimate_R_index(p, grid)
+    g_left, g_right, r_cert = _growth_certificates(
+        p, grid, ("left", "right", "R"))
     chain_obj = tractability_chain(p)
     mu = _pick_mu(p)
     wong = build_chain(p, mu, side="left")
@@ -437,12 +460,13 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
                 f"R-index {r_cert.k} incompatible with G-index {g_left.k}")
     # bounded-A case: R_k => D_k
     if r_cert.verdict == "holds" and r_cert.k >= 1:
-        d_cert = check_Dk(p, r_cert.k, LambdaGrid.default(omega=_safe_omega(p)),
+        omega = _safe_omega(eigs)
+        d_cert = check_Dk(p, r_cert.k, LambdaGrid.default(omega=omega),
                           side="left")
         if d_cert.verdict == "fails":
             violations.append(
                 f"R_{r_cert.k} holds but D_{r_cert.k} fails at "
-                f"omega={_safe_omega(p):.3f}")
+                f"omega={omega:.3f}")
     else:
         d_cert = None
 
@@ -454,6 +478,8 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
         "D_check": d_cert,
         "tractability_index": chain_obj.index,
         "wong_stabilization": wong.stabilization_k,
+        "wong_mu": mu,
+        "wong_chain": wong,
         "qz_index": qz_index,
         "qz_eigenvalues": eigs,
         "violations": violations,
@@ -477,13 +503,9 @@ def _pick_mu(p, candidates=(0.0, 1.0, 2.37, 5.11, -1.3, 7.9)):
     return best
 
 
-def _safe_omega(p):
-    """An omega with (omega, inf) inside the sampled resolvent set; here 0
-    unless the spectrum probe suggests shifting right."""
-    try:
-        eigs, _ = qz_canonical(p.E, p.A, p.pol)
-    except Exception:
-        return 0.0
+def _safe_omega(eigs):
+    """An omega with (omega, inf) inside the sampled resolvent set, from the
+    QZ eigenvalues; here 0 unless the spectrum suggests shifting right."""
     finite = [e.real for e in eigs if e != np.inf]
     if not finite:
         return 0.0

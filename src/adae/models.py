@@ -10,7 +10,7 @@ exactly (D, -D^T): the continuous integration-by-parts identities then hold
 to machine precision and become hard test assertions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

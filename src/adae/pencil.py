@@ -14,6 +14,7 @@ which is what `pseudo_resolvent_residual` measures.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -99,11 +100,20 @@ class MatrixPencil:
 
 @dataclass(frozen=True)
 class ResolventSample:
-    """(lam*E - A)^-1 together with its conditioning information."""
+    """(lam*E - A)^-1 together with its conditioning information.
+
+    `min_singular` = 1/||inverse||_2 costs an SVD, so it is computed on
+    first access only.
+    """
 
     lam: complex
     inverse: np.ndarray
-    min_singular: float
+
+    @cached_property
+    def min_singular(self) -> float:
+        if not self.inverse.shape[0]:
+            return np.inf
+        return float(1.0 / np.linalg.norm(self.inverse, 2))
 
 
 # Acceptance gate for computed inverses.  A raw condition-number threshold
@@ -162,9 +172,7 @@ def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
     if not p.is_square:
         raise ValueError("resolvent_at requires a square pencil")
     m = lam * p.E - p.A
-    inv = _certified_inverse(m, lam)
-    smin = 1.0 / np.linalg.norm(inv, 2) if p.n else np.inf
-    return ResolventSample(lam=lam, inverse=inv, min_singular=float(smin))
+    return ResolventSample(lam=lam, inverse=_certified_inverse(m, lam))
 
 
 def _shifted_inverse(p: MatrixPencil, lam: complex) -> np.ndarray:

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import SubspaceChain, StaircaseForm, build_chain, build_staircase
+from .chains import SubspaceChain, StaircaseForm, build_staircase
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
-    NotInResolventSet,
     StepSingular,
 )
 from .forcing import ForcingSignal, PolynomialForcing
 from .growth import _pick_mu
 from .numerics import expm
-from .pencil import MatrixPencil, mild_membership_residual, pseudo_resolvent
+from .pencil import MatrixPencil, pseudo_resolvent
 
 __all__ = [
     "SolveReport",

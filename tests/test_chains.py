@@ -9,7 +9,8 @@ from adae.chains import (
     restricted_generator,
     y_impli_check,
 )
-from adae.exceptions import ChainNotStabilized, NotInResolventSet
+from adae.exceptions import AdaeError, ChainNotStabilized, NotInResolventSet
+from adae.models import RLCConfig, rlc_pencil
 from adae.numerics import Subspace, null_basis, range_basis
 from adae.pencil import MatrixPencil, pseudo_resolvent
 
@@ -72,6 +73,31 @@ def test_chain_unstabilized_keeps_all_levels(n2_pencil):
     assert ch.stabilization_k is None
     assert len(ch.V) == len(ch.W) == 1 + 2
     assert [v.dim for v in ch.V] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_chain_false_plateau_not_stabilized(side):
+    # RLC line without inductance: a nilpotent pencil of index 2 whose
+    # computed levels break rank-nullity (left V_2/W_2 dims 11 + 26, right
+    # 1 + 15, n = 26); the plateau one level later is no splitting, so the
+    # chain stays unstabilized and the generator refuses
+    p = rlc_pencil(RLCConfig(m=12, L=np.zeros(12))).companion
+    ch = build_chain(p, 0.0, side=side)
+    assert ch.stabilization_k is None
+    assert len(ch.V) == len(ch.W) == p.n + 2
+    with pytest.raises(AdaeError):
+        restricted_generator(p, ch)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_stabilized_chain_dims_complement(side):
+    pencils = [random_index_pencil(1000 + i, i % 4) for i in range(8)]
+    pencils.append(rlc_pencil(RLCConfig(m=12)).companion)
+    for p in pencils:
+        ch = build_chain(p, 0.3, side=side)
+        k = ch.stabilization_k
+        assert k is not None
+        assert ch.V[k].dim + ch.W[k].dim == p.n
 
 
 def test_decomposition_degenerate(n2_pencil):

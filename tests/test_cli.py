@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
+import adae.chains
+import adae.growth
 from adae.cli import main
 from adae.io import read_trajectory_csv, write_pencil_json
 from adae.pencil import MatrixPencil
@@ -28,6 +31,30 @@ def test_analyze_nilpotent(tmp_path, capsys):
     assert rep["qz_eigenvalues"] == [None, None]
     assert rep["violations"] == []
     assert "done in" in capsys.readouterr().out
+
+
+def test_analyze_factors_once(tmp_path, monkeypatch):
+    # one QZ, one probe-mu search and one Wong chain per analyze command:
+    # the report's mu and chain are reused for report.json
+    counts = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(spla, "ordqz")
+    count(adae.growth, "_pick_mu")
+    count(adae.chains, "build_chain")
+    code = main(["analyze", "--model", "weierstrass", "--index", "1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert counts == {"ordqz": 1, "_pick_mu": 1, "build_chain": 1}
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["wong_stabilization"] == len(rep["wong_V_dims"]) - 2 == 1
 
 
 def test_analyze_singular_exits_one(tmp_path, capsys):

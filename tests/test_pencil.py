@@ -44,6 +44,15 @@ def test_resolvent_at_diagonal(ode_pencil):
     assert r.min_singular > 0
 
 
+def test_resolvent_at_min_singular_is_lazy(ode_pencil):
+    r = resolvent_at(ode_pencil, 0.0)
+    assert "min_singular" not in vars(r)
+    assert r.min_singular == 1.0 / np.linalg.norm(r.inverse, 2)
+    assert vars(r)["min_singular"] == r.min_singular
+    assert resolvent_at(MatrixPencil(np.zeros((0, 0)), np.zeros((0, 0))),
+                        1.0).min_singular == np.inf
+
+
 def test_resolvent_at_nilpotent(n2_pencil):
     for lam in (0.0, 3.0, -2.5, 1j):
         r = resolvent_at(n2_pencil, lam)
