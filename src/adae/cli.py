@@ -24,10 +24,10 @@ from .growth import (
 )
 from .io import (
     read_pencil_json,
+    write_csv_table,
     write_json,
     write_pencil_json,
     write_trajectory_csv,
-    atomic_write_text,
 )
 from .models import (
     HeatWaveConfig,
@@ -240,21 +240,25 @@ def cmd_solve(args):
     return 0
 
 
+def _write_demo_outputs(out, p, rep):
+    """energy.csv (t, x^* E x) and trajectory.csv of a demo solve; returns
+    the energy."""
+    energy = np.real(np.einsum("ij,ij->j", rep.trajectory.conj(),
+                               p.E @ rep.trajectory))
+    write_csv_table(os.path.join(out, "energy.csv"), ["t", "energy"],
+                    np.column_stack([rep.times, energy]))
+    write_trajectory_csv(os.path.join(out, "trajectory.csv"),
+                         rep.times, rep.trajectory)
+    return energy
+
+
 def _demo_heat_wave(args):
     p = heat_wave_pencil(HeatWaveConfig(m=args.m))
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(p.n)
     t_grid = np.linspace(0.0, args.tf, args.steps + 1)
     rep = solve_homogeneous(p, x0, t_grid)
-    energy = np.real(np.einsum("ij,ij->j", rep.trajectory.conj(),
-                               p.E @ rep.trajectory))
-    lines = ["t, energy"]
-    for t, e in zip(rep.times, energy):
-        lines.append(f"{float(t)!r}, {float(e)!r}")
-    atomic_write_text(os.path.join(args.out, "energy.csv"),
-                      "\n".join(lines) + "\n")
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
-                         rep.times, rep.trajectory)
+    energy = _write_demo_outputs(args.out, p, rep)
     summary = {
         "model": "heat-wave",
         "m": args.m,
@@ -284,15 +288,7 @@ def _demo_rlc(args):
         fvec[row_v] = -1.0
         rep = solve_decoupled(p, np.zeros(p.n),
                               PolynomialForcing.constant(fvec, args.tf), t_grid)
-    energy = np.real(np.einsum("ij,ij->j", rep.trajectory.conj(),
-                               p.E @ rep.trajectory))
-    lines = ["t, energy"]
-    for t, e in zip(rep.times, energy):
-        lines.append(f"{float(t)!r}, {float(e)!r}")
-    atomic_write_text(os.path.join(args.out, "energy.csv"),
-                      "\n".join(lines) + "\n")
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
-                         rep.times, rep.trajectory)
+    energy = _write_demo_outputs(args.out, p, rep)
     import scipy.linalg as spla
     summary = {
         "model": "rlc",

@@ -19,7 +19,8 @@ __all__ = [
 
 
 class ForcingSignal:
-    """Common interface: value(t), derivative(t, order), max_derivative_order."""
+    """Common interface: value(t), derivative(t, order), sample(ts, order),
+    max_derivative_order."""
 
     kind = "abstract"
     dim = 0
@@ -30,6 +31,14 @@ class ForcingSignal:
 
     def derivative(self, t, order):
         raise NotImplementedError
+
+    def sample(self, ts, order=0):
+        """The order-th derivative at every time of ts, as (dim, len(ts))."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        out = np.empty((self.dim, ts.size), dtype=complex)
+        for j, t in enumerate(ts):
+            out[:, j] = self.derivative(t, order)
+        return out
 
     def require_order(self, order):
         if order > self.max_derivative_order:
@@ -78,24 +87,29 @@ class PolynomialForcing(ForcingSignal):
         i = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
         return min(max(i, 0), len(self.coeffs) - 1)
 
-    def _eval_piece(self, i, s, order):
-        c = self.coeffs[i]
-        d = c.shape[1] - 1
-        out = np.zeros(self.dim, dtype=complex)
-        for j in range(order, d + 1):
-            fac = 1.0
-            for q in range(j, j - order, -1):
-                fac *= q
-            out += fac * c[:, j] * s ** (j - order)
+    def sample(self, ts, order=0):
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        pieces = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
+                         0, len(self.coeffs) - 1)
+        out = np.zeros((self.dim, ts.size), dtype=complex)
+        for i in np.unique(pieces):
+            cols = np.flatnonzero(pieces == i)
+            s = ts[cols] - self.breakpoints[i]
+            c = self.coeffs[i]
+            for j in range(order, c.shape[1]):
+                fac = 1.0
+                for q in range(j, j - order, -1):
+                    fac *= q
+                # float_power rounds like the scalar s ** p (array ** p may not)
+                out[:, cols] += ((fac * c[:, j])[:, None]
+                                 * np.float_power(s, j - order))
         return out
 
     def value(self, t):
-        i = self.piece_index(t)
-        return self._eval_piece(i, t - self.breakpoints[i], 0)
+        return self.sample([t])[:, 0]
 
     def derivative(self, t, order):
-        i = self.piece_index(t)
-        return self._eval_piece(i, t - self.breakpoints[i], order)
+        return self.sample([t], order)[:, 0]
 
     def left_multiplied(self, M):
         """The signal M f(t) for a constant matrix M."""
@@ -126,56 +140,56 @@ class SampledForcing(ForcingSignal):
         self.h = float(h[0])
         self.dim = self.values.shape[0]
 
-    def _nearest(self, t):
-        i = int(round((t - self.times[0]) / self.h))
-        return min(max(i, 0), self.times.size - 1)
-
-    def value(self, t):
-        # cubic interpolation through the 4 nearest samples
-        n = self.times.size
-        i = self._nearest(t)
-        lo = min(max(i - 1, 0), n - 4)
-        ts = self.times[lo:lo + 4]
-        out = np.zeros(self.dim, dtype=complex)
-        for a in range(4):
-            w = 1.0
-            for b in range(4):
-                if b != a:
-                    w *= (t - ts[b]) / (ts[a] - ts[b])
-            out += w * self.values[:, lo + a]
-        return out
-
-    def derivative(self, t, order):
+    def sample(self, ts, order=0):
+        """Cubic interpolation through the 4 nearest samples (order 0), or a
+        4th-order stencil around the nearest sample (orders 1 and 2)."""
         self.require_order(order)
-        if order == 0:
-            return self.value(t)
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         n = self.times.size
-        i = self._nearest(t)
         h = self.h
         v = self.values
+        i = np.clip(np.rint((ts - self.times[0]) / h).astype(int), 0, n - 1)
+        out = np.zeros((self.dim, ts.size), dtype=complex)
+        if order == 0:
+            lo = np.clip(i - 1, 0, n - 4)
+            for a in range(4):
+                w = 1.0
+                for b in range(4):
+                    if b != a:
+                        w = w * ((ts - self.times[lo + b])
+                                 / (self.times[lo + a] - self.times[lo + b]))
+                out += w * v[:, lo + a]
+            return out
+        mid = (2 <= i) & (i <= n - 3)
+        left = i < 2
+        right = ~mid & ~left
+        j = i[mid]
         if order == 1:
-            if 2 <= i <= n - 3:
-                return (-v[:, i + 2] + 8 * v[:, i + 1]
-                        - 8 * v[:, i - 1] + v[:, i - 2]) / (12 * h)
-            # one-sided 4th-order stencil at the edges
-            if i < 2:
-                j = i
-                return (-25 * v[:, j] + 48 * v[:, j + 1] - 36 * v[:, j + 2]
-                        + 16 * v[:, j + 3] - 3 * v[:, j + 4]) / (12 * h)
-            j = i
-            return (25 * v[:, j] - 48 * v[:, j - 1] + 36 * v[:, j - 2]
-                    - 16 * v[:, j - 3] + 3 * v[:, j - 4]) / (12 * h)
-        # order == 2
-        if 2 <= i <= n - 3:
-            return (-v[:, i + 2] + 16 * v[:, i + 1] - 30 * v[:, i]
-                    + 16 * v[:, i - 1] - v[:, i - 2]) / (12 * h * h)
-        if i < 2:
-            j = min(i, n - 4)
-            return (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
-                    - v[:, j + 3]) / (h * h)
-        j = i
-        return (2 * v[:, j] - 5 * v[:, j - 1] + 4 * v[:, j - 2]
-                - v[:, j - 3]) / (h * h)
+            out[:, mid] = (-v[:, j + 2] + 8 * v[:, j + 1]
+                           - 8 * v[:, j - 1] + v[:, j - 2]) / (12 * h)
+            # one-sided 4th-order stencils at the edges
+            j = i[left]
+            out[:, left] = (-25 * v[:, j] + 48 * v[:, j + 1] - 36 * v[:, j + 2]
+                            + 16 * v[:, j + 3] - 3 * v[:, j + 4]) / (12 * h)
+            j = i[right]
+            out[:, right] = (25 * v[:, j] - 48 * v[:, j - 1] + 36 * v[:, j - 2]
+                             - 16 * v[:, j - 3] + 3 * v[:, j - 4]) / (12 * h)
+            return out
+        out[:, mid] = (-v[:, j + 2] + 16 * v[:, j + 1] - 30 * v[:, j]
+                       + 16 * v[:, j - 1] - v[:, j - 2]) / (12 * h * h)
+        j = np.minimum(i[left], n - 4)
+        out[:, left] = (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
+                        - v[:, j + 3]) / (h * h)
+        j = i[right]
+        out[:, right] = (2 * v[:, j] - 5 * v[:, j - 1] + 4 * v[:, j - 2]
+                         - v[:, j - 3]) / (h * h)
+        return out
+
+    def value(self, t):
+        return self.sample([t])[:, 0]
+
+    def derivative(self, t, order):
+        return self.sample([t], order)[:, 0]
 
 
 class CallableForcing(ForcingSignal):

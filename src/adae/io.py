@@ -7,6 +7,7 @@ write -> read -> write cycle is byte-identical for IEEE-754 doubles.
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "pencil_from_dict",
     "write_pencil_json",
     "read_pencil_json",
+    "write_csv_table",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "atomic_write_text",
@@ -75,21 +77,33 @@ def read_pencil_json(path, pol=DEFAULT_POLICY) -> MatrixPencil:
         return pencil_from_dict(json.load(fh), pol)
 
 
+def write_csv_table(path, header, table):
+    """Header line of names, then one line per row of a 2-d real array.
+
+    Values are written in the shortest round-trip repr and separated by
+    ", ", exactly as Python's list repr does; rows are converted one at a
+    time, so no Python float outlives its row.
+    """
+    lines = (repr(row.tolist())[1:-1] + "\n" for row in table)
+    atomic_write_text(path, "".join(chain([", ".join(header) + "\n"], lines)))
+
+
 def write_trajectory_csv(path, times, trajectory):
     """Header "t, re_x1, im_x1, ...", one row per grid point."""
     x = np.atleast_2d(np.asarray(trajectory, dtype=complex))
+    t = np.asarray(times, dtype=float)
     n = x.shape[0]
-    cols = []
+    if t.shape != (x.shape[1],):
+        raise ValueError(f"trajectory has {x.shape[1]} columns but "
+                         f"{t.size} times were given")
+    header = ["t"]
     for i in range(1, n + 1):
-        cols += [f"re_x{i}", f"im_x{i}"]
-    lines = ["t, " + ", ".join(cols)]
-    for j, t in enumerate(np.asarray(times, dtype=float)):
-        vals = [repr(float(t))]
-        for i in range(n):
-            vals.append(repr(float(x[i, j].real)))
-            vals.append(repr(float(x[i, j].imag)))
-        lines.append(", ".join(vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        header += [f"re_x{i}", f"im_x{i}"]
+    table = np.empty((t.size, 1 + 2 * n))
+    table[:, 0] = t
+    table[:, 1::2] = x.real.T
+    table[:, 2::2] = x.imag.T
+    write_csv_table(path, header, table)
 
 
 def read_trajectory_csv(path):

@@ -15,11 +15,18 @@ finite-difference derivatives and per-step quadrature.
 
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import SubspaceChain, StaircaseForm, build_staircase
+from .chains import (
+    StaircaseForm,
+    SubspaceChain,
+    build_chain,
+    build_staircase,
+    restricted_generator,
+)
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
@@ -39,6 +46,9 @@ __all__ = [
     "implicit_euler_reference",
     "residuals",
 ]
+
+
+_BLOCK = 256  # grid times per batched evaluation in _solve_fd
 
 
 @dataclass
@@ -85,7 +95,9 @@ class _ExpPoly:
         return _ExpPoly(self.mu, out)
 
     def eval(self, s):
-        powers = s ** np.arange(self.coeffs.shape[1])
+        """Values at the local times s, one column per entry of s."""
+        s = np.asarray(s, dtype=float).reshape(-1)
+        powers = s ** np.arange(self.coeffs.shape[1])[:, None]
         return np.exp(-self.mu * s) * (self.coeffs @ powers)
 
 
@@ -106,6 +118,15 @@ def _oblique_projectors(chain: SubspaceChain):
     return P_V, np.eye(n) - P_V
 
 
+def _shifted_derivative(gf, mu, ts, order):
+    """d^order/dt^order [e^(-mu t) g(t)] at the times ts by the product rule,
+    from gf[j] = g^(j)(ts) for j <= order (one column per time)."""
+    acc = np.zeros_like(gf[0])
+    for j in range(order + 1):
+        acc += comb(order, j) * (-mu) ** (order - j) * gf[j]
+    return np.exp(-mu * np.asarray(ts, dtype=float)) * acc
+
+
 class _ProjectedSignal(ForcingSignal):
     """P g_mu(t) with g_mu(t) = e^(-mu t) G f(t), P and G constant matrices."""
 
@@ -120,19 +141,13 @@ class _ProjectedSignal(ForcingSignal):
         self.max_derivative_order = f.max_derivative_order
 
     def value(self, t):
-        return np.exp(-self.mu * t) * (self.P @ (self.G @ self.f.value(t)))
+        return self.derivative(t, 0)
 
     def derivative(self, t, order):
-        if order == 0:
-            return self.value(t)
         self.require_order(order)
-        # product rule against the analytic factor e^(-mu t)
-        acc = np.zeros(self.dim, dtype=complex)
-        from math import comb
-        for j in range(order + 1):
-            acc += (comb(order, j) * (-self.mu) ** (order - j)
-                    * (self.P @ (self.G @ self.f.derivative(t, j))))
-        return np.exp(-self.mu * t) * acc
+        gf = [self.P @ (self.G @ self.f.derivative(t, j))
+              for j in range(order + 1)]
+        return _shifted_derivative(gf, self.mu, t, order)
 
 
 def split_forcing(stair: StaircaseForm, chain: SubspaceChain,
@@ -250,10 +265,9 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
             blocks[q] = xq.add(acc.differentiate())
 
         old_w = xt[edges[1]:, j0].copy()
-        for j in range(j0, j1 + 1):
-            s = t[j] - ta
-            for q in range(1, k + 1):
-                xt[edges[q]:edges[q + 1], j] = blocks[q].eval(s)
+        if k:
+            Wc = np.vstack([blocks[q].coeffs for q in range(1, k + 1)])
+            xt[edges[1]:, j0:j1 + 1] = _ExpPoly(mu, Wc).eval(t[j0:j1 + 1] - ta)
 
         if nV and ip > 0:
             # forcing jump: R y stays continuous, so the V coordinate jumps
@@ -294,8 +308,32 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
     return traj
 
 
+def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
+    """Derivatives of orders 0..top at the times ts, one column per time.
+
+    Returns (g, xW): g[o] is the o-th derivative of the staircase forcing
+    g(t) = e^(-mu t) U^* G f(t), xW[o] that of the W coordinates.  Each W
+    block solves x_q = -g_q + sum_{r>q} R_qr x_r', so with N the strictly
+    upper block part of R on W, xW^(o) = N xW^(o+1) - g_W^(o), substituted
+    from the top order down.  Cutting the series at top only spoils orders
+    above a block's own need (x_q up to order q), which are never read.
+    """
+    gf = [UhG @ f.sample(ts, j) for j in range(top + 1)]
+    g = [_shifted_derivative(gf, mu, ts, o) for o in range(top + 1)]
+    xW = [None] * (top + 1)
+    xW[top] = -g[top][nV:]
+    for o in range(top - 1, -1, -1):
+        xW[o] = N @ xW[o + 1] - g[o][nV:]
+    return g, xW
+
+
 def _solve_fd(p, stair, x0, f, t, h, mu):
-    """Sampled/callable path: FD derivatives, per-step quadrature on V_k."""
+    """Sampled/callable path: FD derivatives, per-step quadrature on V_k.
+
+    The grid is processed in blocks of _BLOCK times, each evaluated with
+    array products; only the V_k recurrence x_j = Phi x_{j-1} + c_j steps
+    point by point.
+    """
     n = p.n
     U = stair.unitary
     sizes = stair.block_sizes
@@ -303,8 +341,8 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     k = stair.k
     nV = sizes[0]
     Rt = stair.transform(mu)
-    G = spla.inv(p.A - mu * p.E)
     Uh = U.conj().T
+    UhG = Uh @ spla.inv(p.A - mu * p.E)
 
     needed = k  # W chain uses k-1 derivatives, the V forcing one more
     if f.max_derivative_order < needed:
@@ -312,37 +350,15 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     if f.kind == "sampled":
         warnings.warn("sampled forcing: derivatives via finite differences")
 
-    def g_block(q, ti, order):
-        from math import comb
-        acc = np.zeros(n, dtype=complex)
-        for j in range(order + 1):
-            acc += (comb(order, j) * (-mu) ** (order - j)
-                    * (G @ f.derivative(ti, j)))
-        vec = np.exp(-mu * ti) * (Uh @ acc)
-        return vec[edges[q]:edges[q + 1]]
-
-    def x_block(q, ti, order):
-        out = -g_block(q, ti, order)
-        for r in range(q + 1, k + 1):
-            Rqr = Rt[edges[q]:edges[q + 1], edges[r]:edges[r + 1]]
-            out += Rqr @ x_block(r, ti, order + 1)
-        return out
+    N = np.zeros((n - nV, n - nV), dtype=complex)
+    for q in range(1, k + 1):
+        N[edges[q] - nV:edges[q + 1] - nV, edges[q + 1] - nV:] = \
+            Rt[edges[q]:edges[q + 1], edges[q + 1]:]
+    top = k if nV else k - 1
 
     xt = np.zeros((n, t.size), dtype=complex)
-    for j, ti in enumerate(t):
-        for q in range(1, k + 1):
-            xt[edges[q]:edges[q + 1], j] = x_block(q, ti, 0)
-
     if nV:
         B = spla.inv(Rt[:nV, :nV])
-
-        def h_sig(ti):
-            out = g_block(0, ti, 0)
-            for r in range(1, k + 1):
-                R0r = Rt[:nV, edges[r]:edges[r + 1]]
-                out -= R0r @ x_block(r, ti, 1)
-            return B @ out
-
         nodes, weights = np.polynomial.legendre.leggauss(4)
         taus = 0.5 * h * (nodes + 1.0)
         ws = 0.5 * h * weights
@@ -350,12 +366,27 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         prop = [expm((h - tq) * B) for tq in taus]
         xV = (Uh @ np.asarray(x0, dtype=complex).reshape(-1))[:nV]
         xt[:nV, 0] = xV
-        for j in range(1, t.size):
-            acc = Phi @ xV
-            for q in range(4):
-                acc += ws[q] * (prop[q] @ h_sig(t[j - 1] + taus[q]))
-            xV = acc
-            xt[:nV, j] = xV
+
+    for b0 in range(0, t.size, _BLOCK):
+        tb = t[b0:b0 + _BLOCK]
+        if k:
+            _, xW = _fd_derivatives(UhG, N, nV, f, mu, tb, top)
+            xt[nV:, b0:b0 + tb.size] = xW[0]
+        if not nV:
+            continue
+        # steps [t_j, t_j + h] starting in this block; Gauss quadrature of
+        # int e^((h - tau) B) B h_sig(t_j + tau) with h_sig = f_V - R_0W x_W'
+        starts = tb[:t.size - 1 - b0]
+        inc = np.zeros((nV, starts.size), dtype=complex)
+        for q in range(4):
+            g, xW = _fd_derivatives(UhG, N, nV, f, mu, starts + taus[q], top)
+            h_sig = g[0][:nV]
+            if k:
+                h_sig = h_sig - Rt[:nV, nV:] @ xW[1]
+            inc += ws[q] * (prop[q] @ (B @ h_sig))
+        for i in range(starts.size):
+            xV = Phi @ xV + inc[:, i]
+            xt[:nV, b0 + i + 1] = xV
 
     return np.exp(mu * t)[None, :] * (U @ xt)
 
@@ -399,27 +430,37 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
 
 def solve_homogeneous(p: MatrixPencil, x0, t_grid,
                       mu: complex | None = None) -> SolveReport:
-    """f = 0: project x0 onto V_k and evolve with the degenerate semigroup."""
-    from .semigroup import degenerate_semigroup, evaluate
+    """f = 0: project x0 onto V_k and evolve with the degenerate semigroup.
 
+    T_R(t) = Q e^(t A_R) Q^* on the orthonormal basis Q of V_k, so on the
+    uniform grid z_{j+1} = e^(h A_R) z_j and x_j = Q z_j with z_0 = Q^* x0.
+    The index and block sizes come from the same Wong chain of R(mu).
+    """
     if not p.is_square:
         raise ValueError("solver requires a square pencil")
-    t, _ = _check_grid(t_grid)
+    t, h = _check_grid(t_grid)
     if mu is None:
         mu = _pick_mu(p)
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    tr = degenerate_semigroup(p, mu, side="right")
-    x0p = tr.proj_V @ x0
+    chain = build_chain(p, mu, side="right")
+    gen = restricted_generator(p, chain)
+    k = chain.stabilization_k
+    dims = [v.dim for v in chain.V]
+    block_sizes = [dims[k]] + [dims[j - 1] - dims[j] for j in range(k, 0, -1)]
+
+    Q = gen.basis.basis
+    z = np.empty((Q.shape[1], t.size), dtype=complex)
+    z[:, 0] = Q.conj().T @ x0
+    Phi = expm(h * gen.matrix)
+    for j in range(1, t.size):
+        z[:, j] = Phi @ z[:, j - 1]
+    x0p = Q @ z[:, 0]
     correction = float(np.linalg.norm(x0 - x0p))
-    traj = np.zeros((p.n, t.size), dtype=complex)
-    for j, ti in enumerate(t):
-        traj[:, j] = evaluate(tr, ti) @ x0
-    stair = build_staircase(p, mu, side="right")
     report = SolveReport(
-        times=t, trajectory=traj, consistent_x0=x0p,
+        times=t, trajectory=Q @ z, consistent_x0=x0p,
         correction_norm=correction, classical_residual=np.nan,
-        mild_residual=np.nan, mu_used=mu, index_k=stair.k,
-        block_sizes=list(stair.block_sizes), method="semigroup")
+        mild_residual=np.nan, mu_used=mu, index_k=k,
+        block_sizes=block_sizes, method="semigroup")
     if t.size >= 5:
         from .forcing import zero_forcing
         f0 = zero_forcing(p.n, float(t[-1]))
@@ -446,11 +487,12 @@ def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
         h *= 1.01
         t = t[0] + h * np.arange(t.size)
     lu = spla.lu_factor(M)
+    fv = f.sample(t)
     traj = np.zeros((p.n, t.size), dtype=complex)
     traj[:, 0] = x0
     x = x0
     for j in range(1, t.size):
-        rhs = p.E @ x + h * f.value(t[j])
+        rhs = p.E @ x + h * fv[:, j]
         x = spla.lu_solve(lu, rhs)
         traj[:, j] = x
     report = SolveReport(
@@ -472,7 +514,7 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
     if t.size < 5:
         raise GridTooCoarse("residuals need at least 5 grid points")
     h = float(t[1] - t[0])
-    fv = np.column_stack([f.value(ti) for ti in t])
+    fv = f.sample(t)
     Ex = p.E @ x
     Ax = p.A @ x
 
@@ -481,12 +523,10 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
     scale = (1.0 + np.linalg.norm(p.E, 2) * xinf
              + np.linalg.norm(p.A, 2) * xinf + finf)
 
-    worst = 0.0
-    for j in range(2, t.size - 2):
-        d = (-Ex[:, j + 2] + 8 * Ex[:, j + 1]
-             - 8 * Ex[:, j - 1] + Ex[:, j - 2]) / (12 * h)
-        worst = max(worst, float(np.linalg.norm(d - Ax[:, j] - fv[:, j])))
-    classical = worst / scale
+    # one expression, so no n x N temporary outlives it
+    classical = float(np.max(np.linalg.norm(
+        (-Ex[:, 4:] + 8 * Ex[:, 3:-1] - 8 * Ex[:, 1:-3] + Ex[:, :-4]) / (12 * h)
+        - Ax[:, 2:-2] - fv[:, 2:-2], axis=0))) / scale
 
     cum_x = np.zeros_like(x)
     cum_f = np.zeros_like(fv)

@@ -92,3 +92,99 @@ def test_zero_forcing():
     f = zero_forcing(3, 5.0)
     assert np.allclose(f.value(2.0), np.zeros(3))
     assert np.allclose(f.derivative(2.0, 4), np.zeros(3))
+
+
+def _sampled_reference(f, t, order):
+    """Per-point value/derivative of a SampledForcing: the scalar stencils
+    the vectorized sample() must reproduce bit for bit."""
+    n = f.times.size
+    h = f.h
+    v = f.values
+    i = min(max(int(round((t - f.times[0]) / h)), 0), n - 1)
+    if order == 0:
+        lo = min(max(i - 1, 0), n - 4)
+        ts = f.times[lo:lo + 4]
+        out = np.zeros(f.dim, dtype=complex)
+        for a in range(4):
+            w = 1.0
+            for b in range(4):
+                if b != a:
+                    w *= (t - ts[b]) / (ts[a] - ts[b])
+            out += w * v[:, lo + a]
+        return out
+    if order == 1:
+        if 2 <= i <= n - 3:
+            return (-v[:, i + 2] + 8 * v[:, i + 1]
+                    - 8 * v[:, i - 1] + v[:, i - 2]) / (12 * h)
+        if i < 2:
+            return (-25 * v[:, i] + 48 * v[:, i + 1] - 36 * v[:, i + 2]
+                    + 16 * v[:, i + 3] - 3 * v[:, i + 4]) / (12 * h)
+        return (25 * v[:, i] - 48 * v[:, i - 1] + 36 * v[:, i - 2]
+                - 16 * v[:, i - 3] + 3 * v[:, i - 4]) / (12 * h)
+    if 2 <= i <= n - 3:
+        return (-v[:, i + 2] + 16 * v[:, i + 1] - 30 * v[:, i]
+                + 16 * v[:, i - 1] - v[:, i - 2]) / (12 * h * h)
+    if i < 2:
+        j = min(i, n - 4)
+        return (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
+                - v[:, j + 3]) / (h * h)
+    return (2 * v[:, i] - 5 * v[:, i - 1] + 4 * v[:, i - 2]
+            - v[:, i - 3]) / (h * h)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sampled_sample_matches_per_point_bitwise(order):
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.5, 2.5, 41)
+    h = t[1] - t[0]
+    vals = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
+    vals[1, ::3] = 0.0
+    f = SampledForcing(t, vals)
+    edges = [t[0] - 0.3 * h, t[0] + 0.4 * h, t[0] + 1.5 * h, t[1] + 0.5 * h,
+             t[-1] - 1.5 * h, t[-2] + 0.5 * h, t[-1] - 0.2 * h, t[-1] + 0.2 * h]
+    ts = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), rng.uniform(0.5, 2.5, 30),
+                         edges])
+    got = f.sample(ts, order)
+    want = np.column_stack([_sampled_reference(f, s, order) for s in ts])
+    assert got.tobytes() == want.tobytes()
+    for s in (ts[0], edges[0], edges[-1]):
+        assert f.derivative(s, order).tobytes() == \
+            _sampled_reference(f, s, order).tobytes()
+
+
+def _polynomial_reference(f, t, order):
+    """Per-point derivative of a PolynomialForcing, term by term."""
+    i = f.piece_index(t)
+    s = t - f.breakpoints[i]
+    c = f.coeffs[i]
+    out = np.zeros(f.dim, dtype=complex)
+    for j in range(order, c.shape[1]):
+        fac = 1.0
+        for q in range(j, j - order, -1):
+            fac *= q
+        out += fac * c[:, j] * s ** (j - order)
+    return out
+
+
+def test_polynomial_sample_matches_per_point_bitwise():
+    rng = np.random.default_rng(6)
+    coeffs = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+              for _ in range(3)]
+    f = PolynomialForcing([0.0, 0.7, 1.3, 2.0], coeffs)
+    ts = np.concatenate([[-0.5, 0.0, 0.7, 1.3, 2.0, 2.5],
+                         rng.uniform(0.0, 2.0, 200)])
+    for order in range(5):
+        got = f.sample(ts, order)
+        assert got.shape == (2, ts.size)
+        want = np.column_stack([_polynomial_reference(f, s, order) for s in ts])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_callable_sample_loops_over_derivative():
+    ts = np.array([-0.5, 0.25, 1.0, 1.75, 2.5])
+    g = CallableForcing(2, lambda t: [np.sin(t), t],
+                        derivatives=[lambda t: [np.cos(t), 1.0]])
+    assert np.array_equal(g.sample(ts, 1), [np.cos(ts), np.ones(5)])
+    assert g.sample([], 0).shape == (2, 0)
+    with pytest.raises(InsufficientSmoothness):
+        g.sample(ts, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from adae.io import (
     atomic_write_text,
+    write_csv_table,
     pencil_from_dict,
     pencil_to_dict,
     read_pencil_json,
@@ -46,6 +47,46 @@ def test_trajectory_csv_roundtrip(tmp_path):
     t2, x2 = read_trajectory_csv(f)
     assert np.array_equal(t2, t)
     assert np.array_equal(x2, x)
+
+
+def _per_element_csv(times, x):
+    """Trajectory CSV text formatted value by value with repr(float(.))."""
+    cols = []
+    for i in range(1, x.shape[0] + 1):
+        cols += [f"re_x{i}", f"im_x{i}"]
+    lines = ["t, " + ", ".join(cols)]
+    for j, t in enumerate(times):
+        vals = [repr(float(t))]
+        for i in range(x.shape[0]):
+            vals.append(repr(float(x[i, j].real)))
+            vals.append(repr(float(x[i, j].imag)))
+        lines.append(", ".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_bytes_match_per_element_format(tmp_path):
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        1e300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, 1e-5, 1e16])
+    m = special.size
+    x = np.empty((3, m), dtype=complex)
+    x.real = np.vstack([special, special[::-1], np.roll(special, 3)])
+    x.imag = np.vstack([special[::-1], special, np.roll(special, 5)])
+    t = np.roll(special, 1)
+    f = tmp_path / "traj.csv"
+    write_trajectory_csv(f, t, x)
+    assert f.read_text() == _per_element_csv(t, x)
+    e = tmp_path / "energy.csv"
+    write_csv_table(e, ["t", "energy"], np.column_stack([t, special]))
+    want = "".join(f"{float(a)!r}, {float(b)!r}\n" for a, b in zip(t, special))
+    assert e.read_text() == "t, energy\n" + want
+
+
+@pytest.mark.parametrize("n_times", [4, 6])
+def test_trajectory_csv_rejects_mismatched_lengths(tmp_path, n_times):
+    x = np.ones((2, 5), dtype=complex)
+    with pytest.raises(ValueError, match=f"5 columns.*{n_times} times"):
+        write_trajectory_csv(tmp_path / "traj.csv", np.arange(n_times), x)
+    assert not (tmp_path / "traj.csv").exists()
 
 
 def test_atomic_write_no_partial_files(tmp_path):

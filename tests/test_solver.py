@@ -1,11 +1,32 @@
+import tracemalloc
+import warnings
+from math import comb
+
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from conftest import random_index_pencil
+from adae import solver
 from adae.chains import build_chain, build_staircase
 from adae.exceptions import InsufficientSmoothness
-from adae.forcing import PolynomialForcing, SampledForcing, zero_forcing
+from adae.forcing import (
+    CallableForcing,
+    PolynomialForcing,
+    SampledForcing,
+    zero_forcing,
+)
+from adae.growth import _pick_mu
+from adae.models import (
+    HeatWaveConfig,
+    RLCConfig,
+    WeierstrassSpec,
+    heat_wave_pencil,
+    rlc_pencil,
+    weierstrass_pencil,
+)
 from adae.pencil import MatrixPencil
+from adae.semigroup import degenerate_semigroup, evaluate
 from adae.solver import (
     consistent_initialize,
     implicit_euler_reference,
@@ -141,3 +162,220 @@ def test_solver_rejects_bad_grids(ode_pencil):
         solve_decoupled(ode_pencil, [1.0, 0.0], f, np.array([0.0, 0.1, 0.3]))
     with pytest.raises(ValueError):
         solve_decoupled(ode_pencil, [1.0, 0.0], f, np.array([1.0, 2.0]))
+
+
+# -- batched grid evaluation against the per-point formulas -------------------
+
+BLOCK = solver._BLOCK
+# fewer points than one block, one block + 1, and no multiple of the block
+GRID_POINTS = (40, BLOCK + 1, 2 * BLOCK + 91)
+
+PENCILS = {
+    "rlc-10": lambda: rlc_pencil(RLCConfig(m=10)).companion,
+    "heat-wave-5": lambda: heat_wave_pencil(HeatWaveConfig(m=5)),
+    "weierstrass-0": lambda: random_index_pencil(41, 0, n_ode=3),
+    "weierstrass-1": lambda: random_index_pencil(42, 1, n_ode=3),
+    "weierstrass-2": lambda: random_index_pencil(43, 2, n_ode=3),
+    "nilpotent-2": lambda: MatrixPencil(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                        np.eye(2)),
+}
+
+
+def _rel_dev(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def _smooth_forcing(kind, n, tf, seed):
+    """Sampled or callable forcing a sin(w t) + b cos(w t) on C^n."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    w = rng.uniform(1.0, 3.0)
+
+    def deriv(order):
+        # d^o/dt^o of sin and cos at w t: w^o sin/cos(w t + o pi/2)
+        return lambda t: w ** order * (a * np.sin(w * t + order * np.pi / 2)
+                                       + b * np.cos(w * t + order * np.pi / 2))
+
+    if kind == "callable":
+        return CallableForcing(n, deriv(0), derivatives=[deriv(1), deriv(2)])
+    ts = np.linspace(0.0, tf, 733)
+    return SampledForcing(ts, np.column_stack([deriv(0)(s) for s in ts]))
+
+
+def _fd_reference(p, stair, x0, f, t, h, mu):
+    """Per-point finite-difference solve: recursive back-substitution of the
+    W blocks at every time, one quadrature sum per step."""
+    U = stair.unitary
+    sizes = stair.block_sizes
+    edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    k = stair.k
+    nV = sizes[0]
+    Rt = stair.transform(mu)
+    G = spla.inv(p.A - mu * p.E)
+    Uh = U.conj().T
+
+    def g_block(q, ti, order):
+        acc = np.zeros(p.n, dtype=complex)
+        for j in range(order + 1):
+            acc += (comb(order, j) * (-mu) ** (order - j)
+                    * (G @ f.derivative(ti, j)))
+        return (np.exp(-mu * ti) * (Uh @ acc))[edges[q]:edges[q + 1]]
+
+    def x_block(q, ti, order):
+        out = -g_block(q, ti, order)
+        for r in range(q + 1, k + 1):
+            out += (Rt[edges[q]:edges[q + 1], edges[r]:edges[r + 1]]
+                    @ x_block(r, ti, order + 1))
+        return out
+
+    xt = np.zeros((p.n, t.size), dtype=complex)
+    for j, ti in enumerate(t):
+        for q in range(1, k + 1):
+            xt[edges[q]:edges[q + 1], j] = x_block(q, ti, 0)
+    if nV:
+        B = spla.inv(Rt[:nV, :nV])
+
+        def h_sig(ti):
+            out = g_block(0, ti, 0)
+            for r in range(1, k + 1):
+                out -= Rt[:nV, edges[r]:edges[r + 1]] @ x_block(r, ti, 1)
+            return B @ out
+
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        taus = 0.5 * h * (nodes + 1.0)
+        ws = 0.5 * h * weights
+        Phi = spla.expm(h * B)
+        prop = [spla.expm((h - tq) * B) for tq in taus]
+        xV = (Uh @ x0)[:nV]
+        xt[:nV, 0] = xV
+        for j in range(1, t.size):
+            acc = Phi @ xV
+            for q in range(4):
+                acc += ws[q] * (prop[q] @ h_sig(t[j - 1] + taus[q]))
+            xV = acc
+            xt[:nV, j] = xV
+    return np.exp(mu * t)[None, :] * (U @ xt)
+
+
+def _residuals_reference(p, report, f):
+    """Classical residual with one stencil and one norm per grid point."""
+    t, x = report.times, report.trajectory
+    h = float(t[1] - t[0])
+    fv = np.column_stack([f.value(ti) for ti in t])
+    Ex, Ax = p.E @ x, p.A @ x
+    scale = (1.0 + np.linalg.norm(p.E, 2) * np.max(np.linalg.norm(x, axis=0))
+             + np.linalg.norm(p.A, 2) * np.max(np.linalg.norm(x, axis=0))
+             + np.max(np.linalg.norm(fv, axis=0)))
+    worst = 0.0
+    for j in range(2, t.size - 2):
+        d = (-Ex[:, j + 2] + 8 * Ex[:, j + 1]
+             - 8 * Ex[:, j - 1] + Ex[:, j - 2]) / (12 * h)
+        worst = max(worst, float(np.linalg.norm(d - Ax[:, j] - fv[:, j])))
+    return worst / scale
+
+
+def _setup(name, n_points, tf=1.5):
+    p = PENCILS[name]()
+    mu = _pick_mu(p)
+    stair = build_staircase(p, mu, side="right")
+    t = np.linspace(0.0, tf, n_points)
+    x0 = np.random.default_rng(n_points).standard_normal(p.n).astype(complex)
+    return p, mu, stair, t, float(t[1] - t[0]), x0
+
+
+@pytest.mark.parametrize("kind", ["sampled", "callable"])
+@pytest.mark.parametrize("name", sorted(PENCILS))
+def test_fd_blocks_match_per_point(name, kind):
+    # each pencil meets two of the grid lengths, each length several pencils
+    offset = sorted(PENCILS).index(name) + (kind == "callable")
+    n_points = GRID_POINTS[offset % len(GRID_POINTS)]
+    p, mu, stair, t, h, x0 = _setup(name, n_points)
+    f = _smooth_forcing(kind, p.n, t[-1], 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = solver._solve_fd(p, stair, x0, f, t, h, mu)
+    assert _rel_dev(got, _fd_reference(p, stair, x0, f, t, h, mu)) < 1e-12
+
+
+@pytest.mark.parametrize("n_points", GRID_POINTS)
+@pytest.mark.parametrize("name", sorted(PENCILS))
+def test_exact_blocks_match_per_point(name, n_points, monkeypatch):
+    p, mu, stair, t, h, x0 = _setup(name, n_points)
+    rng = np.random.default_rng(3)
+    bps = [0.0, t[n_points // 3], t[2 * n_points // 3], t[-1]]
+    f = PolynomialForcing(bps, [rng.standard_normal((p.n, 3)) for _ in range(3)])
+    got = solver._solve_exact(p, stair, x0, f, t, h, mu)
+
+    def per_point_eval(self, s):
+        d = self.coeffs.shape[1]
+        return np.column_stack([np.exp(-self.mu * si)
+                                * (self.coeffs @ si ** np.arange(d))
+                                for si in np.asarray(s).reshape(-1)])
+
+    monkeypatch.setattr(solver._ExpPoly, "eval", per_point_eval)
+    want = solver._solve_exact(p, stair, x0, f, t, h, mu)
+    assert _rel_dev(got, want) < 1e-12
+    rep = solve_decoupled(p, x0, f, t, mu=mu)
+    cls_r, _ = residuals(p, rep, f)
+    assert abs(cls_r - _residuals_reference(p, rep, f)) <= 1e-12 * cls_r
+
+
+HOMOGENEOUS = dict(PENCILS, **{
+    "heat-wave-10": lambda: heat_wave_pencil(HeatWaveConfig(m=10)),
+    "heat-wave-25": lambda: heat_wave_pencil(HeatWaveConfig(m=25)),
+    "diag": lambda: MatrixPencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0])),
+    "semidiss": lambda: MatrixPencil(np.diag([1.0, 0.0]),
+                                     np.array([[0.0, -1.0], [1.0, 0.0]])),
+    "ode": lambda: MatrixPencil(np.eye(2), np.diag([-1.0, -2.0])),
+    # nilpotent blocks of sizes 3 and 1: W block sizes 1, 1, 2 differ
+    "weierstrass-3-1": lambda: weierstrass_pencil(
+        WeierstrassSpec((-1.0, -2.5), (3, 1), 44))[0],
+})
+
+
+@pytest.mark.parametrize("name", sorted(HOMOGENEOUS))
+def test_homogeneous_stepping_matches_semigroup(name):
+    p = HOMOGENEOUS[name]()
+    # the per-point reference costs one n x n expm per time
+    n_points = 40 if p.n > 50 else \
+        GRID_POINTS[sorted(HOMOGENEOUS).index(name) % len(GRID_POINTS)]
+    t = np.linspace(0.0, 2.0, n_points)
+    x0 = np.random.default_rng(1).standard_normal(p.n)
+    rep = solve_homogeneous(p, x0, t)
+    stair = build_staircase(p, rep.mu_used, side="right")
+    assert rep.index_k == stair.k
+    assert rep.block_sizes == stair.block_sizes
+    tr = degenerate_semigroup(p, rep.mu_used, side="right")
+    want = np.column_stack([evaluate(tr, ti) @ x0 for ti in t])
+    if np.any(want):
+        assert _rel_dev(rep.trajectory, want) < 1e-12
+    else:
+        assert not np.any(rep.trajectory)
+    assert np.allclose(rep.consistent_x0, tr.proj_V @ x0, atol=1e-13)
+
+
+def test_fd_memory_flat_in_steps():
+    """Transient memory beyond the output arrays does not grow with the grid."""
+    p = rlc_pencil(RLCConfig(m=10)).companion
+    mu = _pick_mu(p)
+    stair = build_staircase(p, mu, side="right")
+
+    def peak(n_points):
+        t = np.linspace(0.0, 1.0, n_points)
+        f = _smooth_forcing("sampled", p.n, 1.0, 2)
+        x0 = np.ones(p.n, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tracemalloc.start()
+            try:
+                solver._solve_fd(p, stair, x0, f, t, t[1] - t[0], mu)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    small, large = 4 * BLOCK, 16 * BLOCK
+    growth = peak(large) - peak(small)
+    # the staircase trajectory, U @ it and the shifted result: n x N each
+    outputs = 3 * p.n * (large - small) * 16
+    assert growth < 1.1 * outputs
