@@ -15,13 +15,13 @@ from .chains import (
     build_staircase,
     check_decomposition,
     restricted_generator,
+    staircase_from_chain,
     y_impli_check,
 )
 from .exceptions import (
     AdaeError,
     ChainNotStabilized,
     ChainStalled,
-    DecompositionUnavailable,
     GridTooCoarse,
     HorizonTooShort,
     InsufficientSmoothness,
@@ -101,12 +101,10 @@ from .semigroup import (
 )
 from .solver import (
     SolveReport,
-    consistent_initialize,
     implicit_euler_reference,
     residuals,
     solve_decoupled,
     solve_homogeneous,
-    split_forcing,
 )
 
 __version__ = "0.1.0"

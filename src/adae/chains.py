@@ -7,6 +7,10 @@ stabilize at k, the state space splits as V_k (+) W_k; an orthonormal basis
 ordered (V_k | W_k | ... | W_1) makes R(lam) upper block triangular with zero
 diagonal blocks on the W part, and R(mu) compressed to V_k is invertible,
 yielding the restricted generator A_R = mu I + S^-1.
+
+`build_chain` is the one place that factors A - mu E for a (pencil, mu,
+side): the chain keeps that certified inverse and R(mu), and the staircase
+form, the restricted generator and the solvers all work from it.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +31,12 @@ from .numerics import (
     range_basis,
     subspace_distance,
 )
-from .pencil import MatrixPencil, pseudo_resolvent
+from .pencil import (
+    MatrixPencil,
+    _shifted_inverse,
+    _side_product,
+    pseudo_resolvent,
+)
 
 __all__ = [
     "SubspaceChain",
@@ -36,6 +45,7 @@ __all__ = [
     "build_chain",
     "check_decomposition",
     "build_staircase",
+    "staircase_from_chain",
     "restricted_generator",
     "y_impli_check",
 ]
@@ -48,17 +58,29 @@ class SubspaceChain:
     V: list = field(default_factory=list)
     W: list = field(default_factory=list)
     stabilization_k: int | None = None
+    G: np.ndarray | None = None  # certified (A - mu E)^-1
+    R: np.ndarray | None = None  # R(mu), the map the levels are built from
 
     @property
     def ambient_dim(self) -> int:
         return self.V[0].ambient_dim
 
+    @property
+    def block_sizes(self) -> list[int]:
+        """[dim V_k] + [dim V_{j-1} - dim V_j for j = k..1]: the staircase
+        widths in the order (V_k | W_k | ... | W_1)."""
+        k = self.stabilization_k
+        if k is None:
+            raise ChainNotStabilized("range chain failed to stabilize")
+        dims = [v.dim for v in self.V]
+        return [dims[k]] + [dims[j - 1] - dims[j] for j in range(k, 0, -1)]
+
     def stabilized(self) -> bool:
         return self.stabilization_k is not None
 
 
-def build_chain(p: MatrixPencil, mu: complex, side: str = "left",
-                max_k: int | None = None) -> SubspaceChain:
+def build_chain(p: MatrixPencil, mu: complex,
+                side: str = "left") -> SubspaceChain:
     """Wong-style chains of R(mu) powers with stabilization metadata.
 
     Levels are built one at a time and the chain stops at the first k with
@@ -66,23 +88,20 @@ def build_chain(p: MatrixPencil, mu: complex, side: str = "left",
     V_0..V_{k+1} and W_0..W_{k+1}.  By rank-nullity dim V_j + dim W_j = n
     at every level; once a computed level breaks that, its rank decisions
     contradict each other, and the chain is never declared stable (a
-    plateau there is not the splitting V_k (+) W_k).  `max_k` (default n)
-    is only an upper bound: a chain not stabilized by max_k holds all
-    max_k + 2 levels and has stabilization_k None.
+    plateau there is not the splitting V_k (+) W_k).  A chain not
+    stabilized by k = n holds all n + 2 levels and has stabilization_k None.
     """
-    R = pseudo_resolvent(p, mu, side)
+    G = _shifted_inverse(p, mu)
+    R = _side_product(p, G, side)
     n = R.shape[0]
-    if max_k is None:
-        max_k = n
-    max_k = max(1, max_k)
     pol = p.pol
     tol = pol.subspace_tol
 
-    chain = SubspaceChain(mu=mu, side=side,
-                          V=[Subspace.full(n)], W=[Subspace.zero(n)])
+    chain = SubspaceChain(mu=mu, side=side, V=[Subspace.full(n)],
+                          W=[Subspace.zero(n)], G=G, R=R)
     V, W = chain.V, chain.W
     consistent = True
-    for j in range(max_k + 1):
+    for j in range(n + 1):
         V.append(range_basis(R @ V[j].basis, pol))
         # ker R^{j+1} = preimage of ker R^j under R
         Pw = W[j].projector()
@@ -122,13 +141,15 @@ class StaircaseForm:
 
     Columns of `unitary` are ordered (V_k | W_k | ... | W_1); block_sizes
     lists the widths in the same order (the V_k block first, possibly 0).
+    `chain` is the Wong chain of R(mu) the form was derived from.
     """
 
-    def __init__(self, p: MatrixPencil, mu: complex, side: str,
+    def __init__(self, p: MatrixPencil, chain: SubspaceChain,
                  unitary: np.ndarray, block_sizes: list[int]):
         self.p = p
-        self.mu = mu
-        self.side = side
+        self.chain = chain
+        self.mu = chain.mu
+        self.side = chain.side
         self.unitary = unitary
         self.block_sizes = block_sizes
 
@@ -142,21 +163,10 @@ class StaircaseForm:
         return self.block_sizes[0]
 
     def transform(self, lam: complex) -> np.ndarray:
-        """R(lam) in staircase coordinates."""
-        R = pseudo_resolvent(self.p, lam, self.side)
+        """R(lam) in staircase coordinates; at lam = mu the chain's R(mu)."""
+        R = (self.chain.R if lam == self.mu
+             else pseudo_resolvent(self.p, lam, self.side))
         return self.unitary.conj().T @ R @ self.unitary
-
-    def blocks_of(self, lam: complex) -> list[list[np.ndarray]]:
-        """Transformed R(lam) cut into the block partition."""
-        T = self.transform(lam)
-        edges = np.concatenate([[0], np.cumsum(self.block_sizes)])
-        out = []
-        for i in range(len(self.block_sizes)):
-            row = []
-            for j in range(len(self.block_sizes)):
-                row.append(T[edges[i]:edges[i + 1], edges[j]:edges[j + 1]])
-            out.append(row)
-        return out
 
     def pattern_residual(self, lam: complex) -> float:
         """Norm of the blocks that the staircase pattern forces to zero.
@@ -183,38 +193,29 @@ class StaircaseForm:
         return worst / scale
 
 
-def build_staircase(p: MatrixPencil, mu: complex,
-                    side: str = "left") -> StaircaseForm:
-    """Orthogonal splitting V_1 = ran R, W_1 = ker R*, refined inside V_j."""
-    R = pseudo_resolvent(p, mu, side)
-    n = R.shape[0]
+def staircase_from_chain(p: MatrixPencil,
+                         chain: SubspaceChain) -> StaircaseForm:
+    """Orthogonal splitting of a stabilized Wong chain: V_k, then W_j as the
+    orthonormal complement of V_j inside V_{j-1} for j = k..1 (Van Dooren's
+    staircase), checked against the zero pattern at 3 random lambda."""
+    k = chain.stabilization_k
+    if k is None:
+        raise ChainNotStabilized("range chain failed to stabilize")
     pol = p.pol
-
-    V_list = [Subspace.full(n)]
-    while True:
-        nxt = range_basis(R @ V_list[-1].basis, pol)
-        if subspace_distance(nxt, V_list[-1]) < pol.subspace_tol:
-            break
-        V_list.append(nxt)
-        if len(V_list) > n + 1:
-            raise ChainNotStabilized("range chain failed to stabilize")
-
-    k = len(V_list) - 1  # V_list = [V_0, ..., V_k] with V_k stable
-    W_blocks = []  # W_k, W_{k-1}, ..., W_1 ordering
-    for j in range(k, 0, -1):
-        W_blocks.append(orthonormal_complement(V_list[j], V_list[j - 1], pol))
-
-    cols = [V_list[k].basis] + [w.basis for w in W_blocks]
-    unitary = np.hstack(cols) if cols else np.zeros((n, 0))
-    block_sizes = [V_list[k].dim] + [w.dim for w in W_blocks]
-    stair = StaircaseForm(p, mu, side, unitary, block_sizes)
+    V = chain.V
+    W_blocks = [orthonormal_complement(V[j], V[j - 1], pol)
+                for j in range(k, 0, -1)]
+    unitary = np.hstack([V[k].basis] + [w.basis for w in W_blocks])
+    block_sizes = [V[k].dim] + [w.dim for w in W_blocks]
+    stair = StaircaseForm(p, chain, unitary, block_sizes)
 
     rng = np.random.default_rng(23)
     checked = 0
     attempts = 0
     while checked < 3 and attempts < 30:
         attempts += 1
-        lam = mu + 10 ** rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.random())
+        lam = chain.mu + 10 ** rng.uniform(0.3, 2.0) * np.exp(
+            2j * np.pi * rng.random())
         try:
             resid = stair.pattern_residual(lam)
         except NotInResolventSet:
@@ -224,6 +225,12 @@ def build_staircase(p: MatrixPencil, mu: complex,
             raise PatternViolation(
                 f"staircase zero-block residual {resid:.3e} at lambda={lam}")
     return stair
+
+
+def build_staircase(p: MatrixPencil, mu: complex,
+                    side: str = "left") -> StaircaseForm:
+    """Staircase form from the Wong chain of R(mu)."""
+    return staircase_from_chain(p, build_chain(p, mu, side))
 
 
 @dataclass
@@ -249,7 +256,7 @@ def restricted_generator(p: MatrixPencil, chain: SubspaceChain) -> RestrictedGen
         return RestrictedGenerator(
             basis=Vk, matrix=np.zeros((0, 0), dtype=complex),
             mu_used=chain.mu, side=chain.side)
-    R = pseudo_resolvent(p, chain.mu, chain.side)
+    R = chain.R
     Q = Vk.basis
     S = Q.conj().T @ R @ Q
     svals = spla.svdvals(S)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .chains import build_staircase, y_impli_check
+from .chains import staircase_from_chain, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
 from .growth import (
@@ -144,7 +144,7 @@ def cmd_analyze(args):
         omega=0.0)
     rep = index_comparison_report(p, grid)
     mu, chain = rep["wong_mu"], rep["wong_chain"]
-    stair = build_staircase(p, mu, side="left")
+    stair = staircase_from_chain(p, chain)
     try:
         yimp = y_impli_check(p)
     except AdaeError:

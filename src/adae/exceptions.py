@@ -40,10 +40,6 @@ class NotInjectiveOnVk(AdaeError):
     """Compressed pseudo-resolvent is not injective on the stabilized range."""
 
 
-class DecompositionUnavailable(AdaeError):
-    """Range/kernel splitting failed, so oblique projections are undefined."""
-
-
 class InsufficientSmoothness(AdaeError):
     """Forcing does not expose enough derivatives for the detected index."""
 

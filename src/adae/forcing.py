@@ -132,8 +132,9 @@ class SampledForcing(ForcingSignal):
         self.values = np.atleast_2d(np.asarray(values, dtype=complex))
         if self.values.shape[1] != self.times.size:
             raise ValueError("values must have one column per sample time")
-        if self.times.size < 5:
-            raise ValueError("need at least 5 samples for the stencils")
+        # the one-sided 5-point stencils need 6 samples to stay in bounds
+        if self.times.size < 6:
+            raise ValueError("need at least 6 samples for the stencils")
         h = np.diff(self.times)
         if not np.allclose(h, h[0], rtol=1e-9, atol=0):
             raise ValueError("sample grid must be uniform")

@@ -23,6 +23,7 @@ __all__ = [
     "inclusion_distance",
     "subspace_intersection",
     "orthonormal_complement",
+    "probe_regularity",
     "expm",
     "qz_canonical",
 ]
@@ -125,12 +126,14 @@ def null_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
 def subspace_distance(u: Subspace, v: Subspace) -> float:
     """Gap metric: the largest principal-angle sine between two subspaces.
 
-    Computed as the spectral norm of the projector difference, which also
-    covers the unequal-dimension case (value 1).
+    Computed as the spectral norm of the projector difference; subspaces of
+    unequal dimension are at distance exactly 1, with no SVD.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    if u.dim == 0 and v.dim == 0:
+    if u.dim != v.dim:
+        return 1.0
+    if u.dim == 0:
         return 0.0
     d = np.linalg.norm(u.projector() - v.projector(), 2)
     return float(min(d, 1.0))
@@ -170,6 +173,20 @@ def orthonormal_complement(u: Subspace, within: Subspace | None = None,
     return Subspace(n, within.basis @ coeffs.basis)
 
 
+def probe_regularity(E, A, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Is det(lam E - A) not identically zero?  Full rank of lam E - A at
+    one seeded random phase on each of 8 magnitudes 1..1e6 decides it."""
+    n = A.shape[1]
+    if n == 0:
+        return True
+    rng = np.random.default_rng(11)
+    for mag in np.logspace(0, 6, 8):
+        lam = mag * np.exp(2j * np.pi * rng.random())
+        if rank_with_tol(lam * E - A, pol) == n:
+            return True
+    return False
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
     a = as_cmatrix(m)
@@ -195,17 +212,7 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
         raise ValueError("qz_canonical requires a square pencil")
     if n == 0:
         return [], 0
-    scale = max(np.linalg.norm(E, 2), np.linalg.norm(A, 2), 1.0)
-
-    # quick regularity probe: det(lam E - A) not identically zero
-    rng = np.random.default_rng(7)
-    regular = False
-    for mag in np.logspace(0, 6, 8):
-        lam = mag * np.exp(2j * np.pi * rng.random())
-        if rank_with_tol(lam * E - A, pol) == n:
-            regular = True
-            break
-    if not regular:
+    if not probe_regularity(E, A, pol):
         raise SingularPencil("det(lam E - A) vanishes on the probe set")
 
     # eigenproblem A x = lam E x; sort finite eigenvalues to the leading

@@ -26,8 +26,8 @@ from .numerics import (
     TolerancePolicy,
     as_cmatrix,
     null_basis,
+    probe_regularity,
     range_basis,
-    rank_with_tol,
 )
 
 __all__ = [
@@ -66,7 +66,7 @@ class MatrixPencil:
         self.pol = pol
         self.regular = None
         if self.is_square:
-            self.regular = self._probe_regularity()
+            self.regular = probe_regularity(self.E, self.A, pol)
 
     @property
     def shape(self):
@@ -79,17 +79,6 @@ class MatrixPencil:
     @property
     def is_square(self) -> bool:
         return self.E.shape[0] == self.E.shape[1]
-
-    def _probe_regularity(self) -> bool:
-        rng = np.random.default_rng(11)
-        n = self.n
-        if n == 0:
-            return True
-        for mag in np.logspace(0, 6, 8):
-            lam = mag * np.exp(2j * np.pi * rng.random())
-            if rank_with_tol(lam * self.E - self.A, self.pol) == n:
-                return True
-        return False
 
     def norm_scale(self) -> float:
         return max(np.linalg.norm(self.E, 2), np.linalg.norm(self.A, 2), 1.0)
@@ -190,12 +179,17 @@ def right_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
     return _shifted_inverse(p, lam) @ p.E
 
 
-def pseudo_resolvent(p: MatrixPencil, lam: complex, side: str) -> np.ndarray:
+def _side_product(p: MatrixPencil, G: np.ndarray, side: str) -> np.ndarray:
+    """The pseudo-resolvent E G (left) or G E (right), G = (A - lam E)^-1."""
     if side == "left":
-        return left_resolvent(p, lam)
+        return p.E @ G
     if side == "right":
-        return right_resolvent(p, lam)
+        return G @ p.E
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def pseudo_resolvent(p: MatrixPencil, lam: complex, side: str) -> np.ndarray:
+    return _side_product(p, _shifted_inverse(p, lam), side)
 
 
 def pseudo_resolvent_residual(p: MatrixPencil, lam: complex, mu: complex,

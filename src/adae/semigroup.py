@@ -11,7 +11,6 @@ pseudo-resolvent on the dynamic part:
 """
 
 import numpy as np
-import scipy.linalg as spla
 
 from .chains import RestrictedGenerator, build_chain, restricted_generator
 from .exceptions import HorizonTooShort
@@ -28,21 +27,11 @@ __all__ = [
 
 
 class DegenerateSemigroup:
-    def __init__(self, gen: RestrictedGenerator, complement_dim: int,
-                 oblique_basis: np.ndarray | None = None):
+    def __init__(self, gen: RestrictedGenerator, complement_dim: int):
         self.gen = gen
         self.complement_dim = complement_dim
-        # columns of V_k; the projector is orthogonal unless an oblique
-        # complement basis (columns of W_k) is supplied
-        Q = gen.basis.basis
-        if oblique_basis is None or oblique_basis.shape[1] == 0:
-            self.proj_V = Q @ Q.conj().T
-        else:
-            n = Q.shape[0]
-            T = np.hstack([Q, oblique_basis])
-            D = np.zeros((n, n), dtype=complex)
-            D[: Q.shape[1], : Q.shape[1]] = np.eye(Q.shape[1])
-            self.proj_V = T @ D @ spla.inv(T)
+        # orthogonal projector onto V_k, as in both solvers
+        self.proj_V = gen.basis.projector()
 
     @property
     def dim_V(self) -> int:
@@ -53,16 +42,13 @@ class DegenerateSemigroup:
                 f"complement_dim={self.complement_dim})")
 
 
-def degenerate_semigroup(p: MatrixPencil, mu: complex, side: str = "left",
-                         oblique: bool = False) -> DegenerateSemigroup:
+def degenerate_semigroup(p: MatrixPencil, mu: complex,
+                         side: str = "left") -> DegenerateSemigroup:
     """Build T_R from the Wong chain of R(mu)."""
     chain = build_chain(p, mu, side)
     gen = restricted_generator(p, chain)
-    k = chain.stabilization_k
-    Wk = chain.W[k]
-    oblique_basis = Wk.basis if oblique else None
-    return DegenerateSemigroup(gen, complement_dim=Wk.dim,
-                               oblique_basis=oblique_basis)
+    return DegenerateSemigroup(
+        gen, complement_dim=chain.W[chain.stabilization_k].dim)
 
 
 def evaluate(tr: DegenerateSemigroup, t: float) -> np.ndarray:

@@ -10,7 +10,9 @@ is an ODE x' = B x + B h with B the inverse of the compressed R_r(mu).  For
 piecewise-polynomial forcing everything stays inside the class
 "e^(-mu s) times vector polynomial", so the only floating-point error is the
 matrix exponential itself; sampled/callable forcing falls back to
-finite-difference derivatives and per-step quadrature.
+finite-difference derivatives and per-step quadrature.  Both paths read
+(A - mu E)^-1 and R_r(mu) from the Wong chain the staircase was derived
+from, so a solve factors A - mu E once.
 """
 
 import warnings
@@ -20,13 +22,7 @@ from math import comb
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import (
-    StaircaseForm,
-    SubspaceChain,
-    build_chain,
-    build_staircase,
-    restricted_generator,
-)
+from .chains import build_chain, restricted_generator, staircase_from_chain
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
@@ -35,12 +31,10 @@ from .exceptions import (
 from .forcing import ForcingSignal, PolynomialForcing
 from .growth import _pick_mu
 from .numerics import expm
-from .pencil import MatrixPencil, pseudo_resolvent
+from .pencil import MatrixPencil
 
 __all__ = [
     "SolveReport",
-    "split_forcing",
-    "consistent_initialize",
     "solve_decoupled",
     "solve_homogeneous",
     "implicit_euler_reference",
@@ -101,23 +95,6 @@ class _ExpPoly:
         return np.exp(-self.mu * s) * (self.coeffs @ powers)
 
 
-def _oblique_projectors(chain: SubspaceChain):
-    """(P_V, P_W): projections onto V_k along W_k and vice versa."""
-    k = chain.stabilization_k
-    Vk, Wk = chain.V[k], chain.W[k]
-    n = chain.ambient_dim
-    if Vk.dim == 0:
-        return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    if Wk.dim == 0:
-        return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    T = np.hstack([Vk.basis, Wk.basis])
-    D = np.zeros((n, n), dtype=complex)
-    D[: Vk.dim, : Vk.dim] = np.eye(Vk.dim)
-    Ti = spla.inv(T)
-    P_V = T @ D @ Ti
-    return P_V, np.eye(n) - P_V
-
-
 def _shifted_derivative(gf, mu, ts, order):
     """d^order/dt^order [e^(-mu t) g(t)] at the times ts by the product rule,
     from gf[j] = g^(j)(ts) for j <= order (one column per time)."""
@@ -125,81 +102,6 @@ def _shifted_derivative(gf, mu, ts, order):
     for j in range(order + 1):
         acc += comb(order, j) * (-mu) ** (order - j) * gf[j]
     return np.exp(-mu * np.asarray(ts, dtype=float)) * acc
-
-
-class _ProjectedSignal(ForcingSignal):
-    """P g_mu(t) with g_mu(t) = e^(-mu t) G f(t), P and G constant matrices."""
-
-    kind = "callable"
-
-    def __init__(self, P, G, f, mu):
-        self.P = P
-        self.G = G
-        self.f = f
-        self.mu = mu
-        self.dim = P.shape[0]
-        self.max_derivative_order = f.max_derivative_order
-
-    def value(self, t):
-        return self.derivative(t, 0)
-
-    def derivative(self, t, order):
-        self.require_order(order)
-        gf = [self.P @ (self.G @ self.f.derivative(t, j))
-              for j in range(order + 1)]
-        return _shifted_derivative(gf, self.mu, t, order)
-
-
-def split_forcing(stair: StaircaseForm, chain: SubspaceChain,
-                  f: ForcingSignal, mu: complex):
-    """Split g_mu = e^(-mu t)(A - mu E)^-1 f into its V_k and W_k parts.
-
-    Returns (f_R, f_K) as signals with derivative accessors; the projections
-    are oblique (along the complementary chain space).
-    """
-    from .exceptions import DecompositionUnavailable
-    from .chains import check_decomposition
-
-    p = stair.p
-    holds, _ = check_decomposition(chain, p.pol)
-    if not holds:
-        raise DecompositionUnavailable("V_k (+) W_k does not span the space")
-    P_V, P_W = _oblique_projectors(chain)
-    G = spla.inv(p.A - mu * p.E)
-    return (_ProjectedSignal(P_V, G, f, mu),
-            _ProjectedSignal(P_W, G, f, mu))
-
-
-def consistent_initialize(p: MatrixPencil, stair: StaircaseForm,
-                          chain: SubspaceChain, x0, f: ForcingSignal,
-                          mu: complex, mode: str = "classical"):
-    """Consistent initial vector: V_k part of x0 plus the forced series.
-
-    The W part is -sum_i R(mu)^i f_K^(i)(0) with i up to k-1 (classical) or
-    k-2 (mild, where the top-order derivative need not exist).
-    """
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    k = chain.stabilization_k
-    P_V, P_W = _oblique_projectors(chain)
-    if mode == "classical":
-        top = k - 1
-    elif mode == "mild":
-        top = k - 2
-    else:
-        raise ValueError("mode must be 'classical' or 'mild'")
-    if top >= 0 and f.max_derivative_order < top:
-        raise InsufficientSmoothness(top, f.max_derivative_order)
-    G = spla.inv(p.A - mu * p.E)
-    R = pseudo_resolvent(p, mu, chain.side)
-    series = np.zeros(p.n, dtype=complex)
-    Rpow = np.eye(p.n, dtype=complex)
-    fK = _ProjectedSignal(P_W, G, f, mu)
-    for i in range(top + 1):
-        series += Rpow @ fK.derivative(0.0, i)
-        Rpow = Rpow @ R
-    consistent = P_V @ x0 - series
-    correction = float(np.linalg.norm(x0 - consistent))
-    return consistent, correction
 
 
 def _check_grid(t_grid):
@@ -227,7 +129,7 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
     k = stair.k
     nV = sizes[0]
     Rt = stair.transform(mu)
-    G = spla.inv(p.A - mu * p.E)
+    G = stair.chain.G
 
     # breakpoints must sit on the grid so steps never straddle a piece
     for bp in f.breakpoints[1:-1]:
@@ -342,7 +244,7 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     nV = sizes[0]
     Rt = stair.transform(mu)
     Uh = U.conj().T
-    UhG = Uh @ spla.inv(p.A - mu * p.E)
+    UhG = Uh @ stair.chain.G
 
     needed = k  # W chain uses k-1 derivatives, the V forcing one more
     if f.max_derivative_order < needed:
@@ -402,7 +304,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
     x0 = np.zeros(p.n, dtype=complex) if x0 is None else \
         np.asarray(x0, dtype=complex).reshape(-1)
 
-    stair = build_staircase(p, mu, side="right")
+    stair = staircase_from_chain(p, build_chain(p, mu, side="right"))
     k = stair.k
     if k > 0 and f.max_derivative_order < k:
         raise InsufficientSmoothness(k, f.max_derivative_order)
@@ -445,8 +347,6 @@ def solve_homogeneous(p: MatrixPencil, x0, t_grid,
     chain = build_chain(p, mu, side="right")
     gen = restricted_generator(p, chain)
     k = chain.stabilization_k
-    dims = [v.dim for v in chain.V]
-    block_sizes = [dims[k]] + [dims[j - 1] - dims[j] for j in range(k, 0, -1)]
 
     Q = gen.basis.basis
     z = np.empty((Q.shape[1], t.size), dtype=complex)
@@ -460,7 +360,7 @@ def solve_homogeneous(p: MatrixPencil, x0, t_grid,
         times=t, trajectory=Q @ z, consistent_x0=x0p,
         correction_norm=correction, classical_residual=np.nan,
         mild_residual=np.nan, mu_used=mu, index_k=k,
-        block_sizes=block_sizes, method="semigroup")
+        block_sizes=chain.block_sizes, method="semigroup")
     if t.size >= 5:
         from .forcing import zero_forcing
         f0 = zero_forcing(p.n, float(t[-1]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from conftest import N2, random_regular_pencil, random_index_pencil
 from adae.chains import (
@@ -7,10 +8,16 @@ from adae.chains import (
     build_staircase,
     check_decomposition,
     restricted_generator,
+    staircase_from_chain,
     y_impli_check,
 )
 from adae.exceptions import AdaeError, ChainNotStabilized, NotInResolventSet
-from adae.models import RLCConfig, rlc_pencil
+from adae.models import (
+    RLCConfig,
+    WeierstrassSpec,
+    rlc_pencil,
+    weierstrass_pencil,
+)
 from adae.numerics import Subspace, null_basis, range_basis
 from adae.pencil import MatrixPencil, pseudo_resolvent
 
@@ -56,7 +63,7 @@ def _all_levels(p, mu, n_levels):
 ])
 def test_chain_stops_at_stabilization(request, name, k, v_dims, w_dims):
     # a stabilized chain ends at V_{k+1}/W_{k+1}; its levels are those of
-    # the chain iterated to the full max_k + 2 = n + 2 levels
+    # the chain iterated to the full n + 2 levels
     p = request.getfixturevalue(name)
     ch = build_chain(p, 0.0, side="left")
     assert ch.stabilization_k == k
@@ -68,11 +75,20 @@ def test_chain_stops_at_stabilization(request, name, k, v_dims, w_dims):
         assert np.array_equal(got.basis, want.basis)
 
 
-def test_chain_unstabilized_keeps_all_levels(n2_pencil):
-    ch = build_chain(n2_pencil, 0.0, side="left", max_k=1)
+def test_chain_unstabilized_keeps_all_levels():
+    # a transformed nilpotent index-2 block: the computed range levels never
+    # reach {0}, so the chain runs to k = n and keeps all n + 2 levels
+    p = weierstrass_pencil(WeierstrassSpec((), (2,), 0))[0]
+    ch = build_chain(p, 0.0, side="left")
     assert ch.stabilization_k is None
-    assert len(ch.V) == len(ch.W) == 1 + 2
-    assert [v.dim for v in ch.V] == [2, 1, 0]
+    assert len(ch.V) == len(ch.W) == p.n + 2
+    assert [v.dim for v in ch.V[:2]] == [2, 1]
+    with pytest.raises(ChainNotStabilized,
+                       match="^range chain failed to stabilize$"):
+        ch.block_sizes
+    with pytest.raises(ChainNotStabilized,
+                       match="^range chain failed to stabilize$"):
+        staircase_from_chain(p, ch)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -87,6 +103,18 @@ def test_chain_false_plateau_not_stabilized(side):
     assert len(ch.V) == len(ch.W) == p.n + 2
     with pytest.raises(AdaeError):
         restricted_generator(p, ch)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_staircase_refuses_false_plateau(side):
+    # on the same pencil a range chain without the rank-nullity guard reads
+    # a plateau as stable: block sizes [11, 1, 14] (left, an 11-dim dynamic
+    # part of a nilpotent pencil) and [0, 1, 11, 14] (right, k = 3 against
+    # QZ index 2); built from the Wong chain, the staircase refuses instead
+    p = rlc_pencil(RLCConfig(m=12, L=np.zeros(12))).companion
+    with pytest.raises(ChainNotStabilized,
+                       match="^range chain failed to stabilize$"):
+        build_staircase(p, 0.0, side=side)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -152,6 +180,33 @@ def test_staircase_pattern_random():
                 assert st.pattern_residual(lam) < 1e-10
             except NotInResolventSet:
                 pass
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_staircase_from_chain_shares_factorization(side, monkeypatch):
+    # the V levels and R(mu) are the chain's; the only new inverses are the
+    # 3 pattern checks at lambda != mu
+    p = random_index_pencil(702, 2, n_ode=3)
+    ch = build_chain(p, 0.4, side=side)
+    calls = []
+    inv = spla.inv
+    monkeypatch.setattr(spla, "inv", lambda m: calls.append(m) or inv(m))
+    st = staircase_from_chain(p, ch)
+    assert len(calls) == 3
+    assert not any(np.array_equal(m, p.A - 0.4 * p.E) for m in calls)
+    k = ch.stabilization_k
+    assert st.chain is ch and st.k == k == 2
+    assert st.block_sizes == ch.block_sizes
+    assert np.array_equal(st.unitary[:, :st.dim_V], ch.V[k].basis)
+    assert st.unitary.shape == (p.n, p.n)
+    assert np.allclose(st.unitary.conj().T @ st.unitary, np.eye(p.n),
+                       atol=1e-12)
+    calls.clear()
+    U = st.unitary
+    assert np.array_equal(st.transform(0.4), U.conj().T @ ch.R @ U)
+    assert not calls
+    assert np.array_equal(ch.R, pseudo_resolvent(p, 0.4, side))
+    assert np.array_equal(ch.G, spla.inv(p.A - 0.4 * p.E))
 
 
 def test_staircase_index_matches_oracle():

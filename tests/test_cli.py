@@ -6,8 +6,10 @@ import scipy.linalg as spla
 
 import adae.chains
 import adae.growth
+import adae.solver
 from adae.cli import main
 from adae.io import read_trajectory_csv, write_pencil_json
+from adae.models import HeatWaveConfig, RLCConfig, heat_wave_pencil, rlc_pencil
 from adae.pencil import MatrixPencil
 
 
@@ -33,28 +35,83 @@ def test_analyze_nilpotent(tmp_path, capsys):
     assert "done in" in capsys.readouterr().out
 
 
+def _count(monkeypatch, counts, name, *owners):
+    """Count the calls of `name`, rebound in every owner module given."""
+    fn = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _count_inverses(monkeypatch, counts, shifted):
+    """Count scipy.linalg.inv calls, and those that invert `shifted`."""
+    inv = spla.inv
+
+    def counted(m, *args, **kwargs):
+        counts["inv"] = counts.get("inv", 0) + 1
+        if np.array_equal(m, shifted):
+            counts["inv(A - mu E)"] = counts.get("inv(A - mu E)", 0) + 1
+        return inv(m, *args, **kwargs)
+    monkeypatch.setattr(spla, "inv", counted)
+
+
 def test_analyze_factors_once(tmp_path, monkeypatch):
     # one QZ, one probe-mu search and one Wong chain per analyze command:
     # the report's mu and chain are reused for report.json
     counts = {}
-
-    def count(owner, name):
-        fn = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
-    count(spla, "ordqz")
-    count(adae.growth, "_pick_mu")
-    count(adae.chains, "build_chain")
+    _count(monkeypatch, counts, "ordqz", spla)
+    _count(monkeypatch, counts, "_pick_mu", adae.growth)
+    _count(monkeypatch, counts, "build_chain", adae.chains)
     code = main(["analyze", "--model", "weierstrass", "--index", "1",
                  "--out", str(tmp_path)])
     assert code == 0
     assert counts == {"ordqz": 1, "_pick_mu": 1, "build_chain": 1}
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["wong_stabilization"] == len(rep["wong_V_dims"]) - 2 == 1
+
+
+def test_solve_factors_once(tmp_path, monkeypatch):
+    # one probe-mu search, one Wong chain and one inverse of A - mu E per
+    # solve: the staircase, G and R(mu) all come from that chain.  The other
+    # inverses are the staircase's 3 pattern checks and the compressed
+    # R(mu) on V_k.
+    p = rlc_pencil(RLCConfig(m=10)).companion
+    shifted = p.A - adae.growth._pick_mu(p) * p.E
+    counts = {}
+    _count(monkeypatch, counts, "_pick_mu", adae.growth, adae.solver)
+    _count(monkeypatch, counts, "build_chain", adae.chains, adae.solver)
+    _count_inverses(monkeypatch, counts, shifted)
+    code = main(["solve", "--model", "rlc", "--m", "10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert counts == {"_pick_mu": 1, "build_chain": 1, "inv": 5,
+                      "inv(A - mu E)": 1}
+
+
+def test_demo_heat_wave_factors_once(tmp_path, monkeypatch):
+    # the restricted generator takes R(mu) from the chain, not a new inverse
+    p = heat_wave_pencil(HeatWaveConfig(m=5))
+    counts = {}
+    _count_inverses(monkeypatch, counts,
+                    p.A - adae.growth._pick_mu(p) * p.E)
+    code = main(["demo", "heat-wave", "--m", "5", "--out", str(tmp_path)])
+    assert code == 0
+    assert counts["inv(A - mu E)"] == 1
+
+
+def test_solve_refuses_false_plateau(tmp_path, capsys):
+    # RLC line without inductance: nilpotent of QZ index 2, but a range
+    # chain without the rank-nullity guard plateaus; solve must not report
+    # a staircase for it
+    f = tmp_path / "pencil.json"
+    write_pencil_json(f, rlc_pencil(RLCConfig(m=12, L=np.zeros(12))).companion)
+    code = main(["solve", "--input", str(f), "--out", str(tmp_path)])
+    assert code == 1
+    assert "range chain failed to stabilize" in capsys.readouterr().err
+    assert not (tmp_path / "solve.json").exists()
 
 
 def test_analyze_singular_exits_one(tmp_path, capsys):
@@ -109,6 +166,17 @@ def test_solve_sampled_index3_exits_three(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_five_sample_csv_exits_one(tmp_path, capsys):
+    rows = ["t, f1, f2"] + [f"{ti!r}, 0.0, {ti * ti!r}"
+                            for ti in np.linspace(0.0, 1.0, 5).tolist()]
+    csv = tmp_path / "forcing.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    code = main(["solve", "--model", "weierstrass", "--index", "0",
+                 "--forcing-csv", str(csv), "--out", str(tmp_path)])
+    assert code == 1
+    assert "6 samples" in capsys.readouterr().err
 
 
 def test_demo_weierstrass_indices_agree(tmp_path):

@@ -79,6 +79,19 @@ def test_sampled_validation():
         SampledForcing(np.linspace(0, 1, 6), np.zeros((1, 5)))
 
 
+def test_sampled_needs_six_samples():
+    # with 5 samples the one-sided 5-point stencils at nodes 1 and 3 would
+    # read past the grid or wrap around it
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="6 samples"):
+        SampledForcing(t, t[None, :] ** 2)
+    t = np.linspace(0.0, 1.0, 6)
+    f = SampledForcing(t, t[None, :] ** 2)
+    assert np.max(np.abs(f.sample(t, 1)[0] - 2 * t)) < 1e-12
+    for ti in t:
+        assert abs(f.derivative(ti, 1)[0] - 2 * ti) < 1e-12
+
+
 def test_callable_forcing():
     f = CallableForcing(1, lambda t: [np.exp(t)],
                         derivatives=[lambda t: [np.exp(t)]])

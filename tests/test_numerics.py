@@ -10,6 +10,7 @@ from adae.numerics import (
     inclusion_distance,
     null_basis,
     orthonormal_complement,
+    probe_regularity,
     qz_canonical,
     range_basis,
     rank_with_tol,
@@ -105,6 +106,42 @@ def test_qz_mixed_pencil():
 def test_qz_singular_pencil_raises():
     with pytest.raises(SingularPencil):
         qz_canonical(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_subspace_distance_unequal_dims_needs_no_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    u = range_basis(rng.standard_normal((6, 2)))
+    v = range_basis(rng.standard_normal((6, 3)))
+    want = min(np.linalg.norm(u.projector() - v.projector(), 2), 1.0)
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("unequal dimensions need no norm")
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert subspace_distance(u, v) == 1.0 == subspace_distance(v, u)
+    assert subspace_distance(Subspace.zero(6), v) == 1.0
+    assert abs(want - 1.0) < 1e-12
+
+
+def test_one_regularity_probe(monkeypatch):
+    import adae.numerics
+    import adae.pencil
+    from adae.pencil import MatrixPencil
+
+    assert probe_regularity(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    assert not probe_regularity(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert probe_regularity(np.zeros((0, 0)), np.zeros((0, 0)))
+    calls = []
+
+    def counted(E, A, pol):
+        calls.append(E.shape)
+        return probe_regularity(E, A, pol)
+    monkeypatch.setattr(adae.pencil, "probe_regularity", counted)
+    monkeypatch.setattr(adae.numerics, "probe_regularity", counted)
+    assert not MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))).regular
+    with pytest.raises(SingularPencil,
+                       match="^det\\(lam E - A\\) vanishes on the probe set$"):
+        qz_canonical(np.zeros((3, 3)), np.zeros((3, 3)))
+    assert calls == [(2, 2), (3, 3)]
 
 
 def test_qz_index_survives_transforms():

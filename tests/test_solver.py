@@ -8,7 +8,7 @@ import scipy.linalg as spla
 
 from conftest import random_index_pencil
 from adae import solver
-from adae.chains import build_chain, build_staircase
+from adae.chains import build_staircase
 from adae.exceptions import InsufficientSmoothness
 from adae.forcing import (
     CallableForcing,
@@ -28,12 +28,10 @@ from adae.models import (
 from adae.pencil import MatrixPencil
 from adae.semigroup import degenerate_semigroup, evaluate
 from adae.solver import (
-    consistent_initialize,
     implicit_euler_reference,
     residuals,
     solve_decoupled,
     solve_homogeneous,
-    split_forcing,
 )
 
 
@@ -43,31 +41,31 @@ def ramp_forcing(t_f):
         np.array([[0.0, 0.0], [0.0, 1.0]]), t_f)
 
 
-def test_split_forcing_diagonal(diag_pencil):
-    mu = 0.0
-    stair = build_staircase(diag_pencil, mu, side="right")
-    chain = build_chain(diag_pencil, mu, side="right")
-    f = ramp_forcing(2.0)
-    f_R, f_K = split_forcing(stair, chain, f, mu)
-    for t in (0.3, 1.1):
-        # (A - mu E)^-1 f = (-f1, f2); V part keeps row 1, W part row 2
-        assert np.allclose(f_R.value(t), [-0.0, 0.0], atol=1e-12)
-        assert np.allclose(f_K.value(t), [0.0, t], atol=1e-12)
-        assert np.allclose(f_K.derivative(t, 1), [0.0, 1.0], atol=1e-12)
+def test_decoupled_ramp_diagonal(diag_pencil):
+    # (A - mu E)^-1 f = (-f1, f2) = (0, t): the V part of the forcing
+    # vanishes and the W part is (0, t) with derivative (0, 1), so x2 = -t
+    # and x1 = x1(0) e^-t, on the exact and the finite-difference path
+    t = np.linspace(0.0, 2.0, 101)
+    ramp = CallableForcing(2, lambda s: [0.0, s],
+                           derivatives=[lambda s: [0.0, 1.0]])
+    for f, method in ((ramp_forcing(2.0), "staircase-exact"),
+                      (ramp, "staircase-fd")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = solve_decoupled(diag_pencil, [3.0, -4.0], f, t, mu=0.0)
+        assert rep.method == method and rep.block_sizes == [1, 1]
+        assert np.max(np.abs(rep.trajectory[1] + t)) < 1e-12
+        assert np.max(np.abs(rep.trajectory[0] - 3.0 * np.exp(-t))) < 1e-12
 
 
-def test_consistent_initialize_semidissipative(semidiss_pencil):
-    mu = 1.0
-    stair = build_staircase(semidiss_pencil, mu, side="right")
-    chain = build_chain(semidiss_pencil, mu, side="right")
-    f = ramp_forcing(2.0)
-    x0c, corr = consistent_initialize(semidiss_pencil, stair, chain,
-                                      [3.0, -4.0], f, mu)
-    # x(0) = (0, 1) independent of the requested x0 (V_k = {0})
-    assert np.allclose(x0c, [0.0, 1.0], atol=1e-10)
-    with pytest.raises(ValueError):
-        consistent_initialize(semidiss_pencil, stair, chain,
-                              [0.0, 0.0], f, mu, mode="weak")
+def test_decoupled_consistent_x0_semidissipative(semidiss_pencil):
+    # V_k = {0} at mu = 1: x(0) = (0, 1) whatever x0 was asked for
+    t = np.linspace(0.0, 2.0, 101)
+    rep = solve_decoupled(semidiss_pencil, [3.0, -4.0], ramp_forcing(2.0), t,
+                          mu=1.0)
+    assert rep.index_k == 2 and rep.block_sizes[0] == 0
+    assert np.allclose(rep.consistent_x0, [0.0, 1.0], atol=1e-10)
+    assert abs(rep.correction_norm - np.hypot(3.0, 5.0)) < 1e-10
 
 
 def test_correction_norm_diagonal(diag_pencil):
