@@ -36,7 +36,6 @@ from .forcing import (
     ForcingSignal,
     PolynomialForcing,
     SampledForcing,
-    zero_forcing,
 )
 from .growth import (
     GrowthCertificate,

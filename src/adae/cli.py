@@ -217,7 +217,7 @@ def cmd_solve(args):
     except InsufficientSmoothness as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except AdaeError as exc:
+    except (AdaeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),

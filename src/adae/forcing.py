@@ -14,7 +14,6 @@ __all__ = [
     "PolynomialForcing",
     "SampledForcing",
     "CallableForcing",
-    "zero_forcing",
 ]
 
 
@@ -212,7 +211,3 @@ class CallableForcing(ForcingSignal):
             return self.value(t)
         self.require_order(order)
         return np.asarray(self.derivs[order - 1](t), dtype=complex).reshape(-1)
-
-
-def zero_forcing(dim, t_f):
-    return PolynomialForcing.zero(dim, t_f)

@@ -4,12 +4,14 @@ Pipeline: shift x_mu(t) = e^(-mu t) x(t) turns the DAE into
 
     d/dt R_r(mu) x_mu = x_mu + g_mu,   g_mu(t) = e^(-mu t) (A - mu E)^-1 f(t).
 
-In staircase coordinates of R_r(mu) the W blocks solve algebraically from the
-bottom row up (each step differentiates the forcing once), and the V_k block
-is an ODE x' = B x + B h with B the inverse of the compressed R_r(mu).  For
-piecewise-polynomial forcing everything stays inside the class
-"e^(-mu s) times vector polynomial", so the only floating-point error is the
-matrix exponential itself; sampled/callable forcing falls back to
+In staircase coordinates of R_r(mu) the W coordinates solve algebraically,
+xW^(o) = N xW^(o+1) - g_W^(o) with N the strictly upper block part of R_r(mu)
+on W (each order differentiates the forcing once), and the V_k block is an
+ODE x' = B x + B h with B the inverse of the compressed R_r(mu).  Both paths
+run that one recursion.  For piecewise-polynomial forcing it acts on
+coefficient matrices, d/ds being C -> C @ D, so everything stays inside the
+class "e^(-mu s) times vector polynomial" and the only floating-point error
+is the matrix exponential itself; sampled/callable forcing falls back to
 finite-difference derivatives and per-step quadrature.  Both paths read
 (A - mu E)^-1 and R_r(mu) from the Wong chain the staircase was derived
 from, so a solve factors A - mu E once.
@@ -28,7 +30,7 @@ from .exceptions import (
     InsufficientSmoothness,
     StepSingular,
 )
-from .forcing import ForcingSignal, PolynomialForcing
+from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .growth import _pick_mu
 from .numerics import expm
 from .pencil import MatrixPencil
@@ -59,42 +61,6 @@ class SolveReport:
     method: str
 
 
-class _ExpPoly:
-    """Vector signal e^(-mu s) * sum_j C[:, j] s^j on a local interval."""
-
-    def __init__(self, mu, coeffs):
-        self.mu = mu
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[1] - 1
-
-    def matmul(self, M):
-        return _ExpPoly(self.mu, M @ self.coeffs)
-
-    def add(self, other):
-        a, b = self.coeffs, other.coeffs
-        d = max(a.shape[1], b.shape[1])
-        out = np.zeros((a.shape[0], d), dtype=complex)
-        out[:, : a.shape[1]] += a
-        out[:, : b.shape[1]] += b
-        return _ExpPoly(self.mu, out)
-
-    def differentiate(self):
-        # d/ds [e^(-mu s) p(s)] = e^(-mu s) (p'(s) - mu p(s))
-        c = self.coeffs
-        out = -self.mu * c.copy()
-        out[:, :-1] += c[:, 1:] * np.arange(1, c.shape[1])
-        return _ExpPoly(self.mu, out)
-
-    def eval(self, s):
-        """Values at the local times s, one column per entry of s."""
-        s = np.asarray(s, dtype=float).reshape(-1)
-        powers = s ** np.arange(self.coeffs.shape[1])[:, None]
-        return np.exp(-self.mu * s) * (self.coeffs @ powers)
-
-
 def _shifted_derivative(gf, mu, ts, order):
     """d^order/dt^order [e^(-mu t) g(t)] at the times ts by the product rule,
     from gf[j] = g^(j)(ts) for j <= order (one column per time)."""
@@ -116,89 +82,97 @@ def _check_grid(t_grid):
     return t, float(h[0])
 
 
-def _block_edges(sizes):
-    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+def _check_forcing(f, t):
+    """Polynomial breakpoints and sampled times must span [0, t_f], and
+    interior breakpoints must sit on the grid so steps never straddle a
+    piece.  Callable forcing has no span to check."""
+    tol = 1e-9 * max(t[-1], 1.0)
+    poly = isinstance(f, PolynomialForcing)
+    if not poly and not isinstance(f, SampledForcing):
+        return
+    ends = f.breakpoints if poly else f.times
+    if ends[0] > tol or ends[-1] < t[-1] - tol:
+        raise ValueError(f"forcing covers [{ends[0]:g}, {ends[-1]:g}], "
+                         f"not the time grid [0, {t[-1]:g}]")
+    if poly and any(np.min(np.abs(t - bp)) > tol for bp in ends[1:-1]):
+        raise ValueError("forcing breakpoints must lie on the time grid")
+
+
+def _staircase_parts(stair, mu):
+    """Set-up shared by both paths: U, U^* G with G = (A - mu E)^-1, dim V_k,
+    R(mu) in staircase coordinates, the strictly upper block part N of R on
+    W, and B = inverse of the V_k block of R (None when V_k = {0})."""
+    U = stair.unitary
+    nV = stair.dim_V
+    Rt = stair.transform(mu)
+    label = np.repeat(np.arange(stair.k + 1), stair.block_sizes)[nV:]
+    N = np.where(label[:, None] < label[None, :], Rt[nV:, nV:], 0)
+    B = spla.inv(Rt[:nV, :nV]) if nV else None
+    return U, U.conj().T @ stair.chain.G, nV, Rt, N, B
+
+
+def _w_coordinates(N, gW):
+    """W coordinates and their derivatives from gW[o], the o-th derivative of
+    the W part of the staircase forcing, o = 0..top.
+
+    Each W block solves x_q = -g_q + sum_{r>q} R_qr x_r', so with N the
+    strictly upper block part of R on W, xW^(o) = N xW^(o+1) - g_W^(o),
+    substituted from the top order down.  Cutting the series at top only
+    spoils orders above a block's own need (x_q up to order q), which are
+    never read.
+    """
+    xW = [-gW[-1]]
+    for g in gW[-2::-1]:
+        xW.insert(0, N @ xW[0] - g)
+    return xW
 
 
 def _solve_exact(p, stair, x0, f, t, h, mu):
-    """Piecewise-polynomial path: closed under the exp-poly arithmetic."""
-    n = p.n
-    U = stair.unitary
-    sizes = stair.block_sizes
-    edges = _block_edges(sizes)
+    """Piecewise-polynomial path: closed under the exp-poly arithmetic.
+
+    On a piece every signal is e^(-mu s) sum_j C[:, j] s^j in the local time
+    s, stored as its coefficient matrix C, and d/ds maps C to C @ D with
+    D = -mu I + diag(1..d, -1).  The same D generates the companion state
+    z(s) = e^(-mu s) (1, s, ..., s^d), which the V_k stepping carries along.
+    """
+    U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
     k = stair.k
-    nV = sizes[0]
-    Rt = stair.transform(mu)
-    G = stair.chain.G
-
-    # breakpoints must sit on the grid so steps never straddle a piece
-    for bp in f.breakpoints[1:-1]:
-        if np.min(np.abs(t - bp)) > 1e-9 * max(t[-1], 1.0):
-            raise ValueError("forcing breakpoints must lie on the time grid")
-
-    xt = np.zeros((n, t.size), dtype=complex)  # staircase coordinates of x_mu
-    xV = (U.conj().T @ np.asarray(x0, dtype=complex).reshape(-1))[:nV]
-
-    B = None
-    if nV:
-        B = spla.inv(Rt[:nV, :nV])
-
-    tol_t = 1e-9 * max(t[-1], 1.0)
-    for ip in range(len(f.coeffs)):
-        ta = f.breakpoints[ip]
-        tb = min(f.breakpoints[ip + 1], t[-1])
-        if ta > t[-1] + tol_t:
-            break
+    top = k if nV else k - 1
+    xt = np.zeros((p.n, t.size), dtype=complex)  # staircase coords of x_mu
+    xV = (U.conj().T @ x0)[:nV]
+    bps = f.breakpoints
+    for ip, C in enumerate(f.coeffs):
+        ta = bps[ip]
         j0 = int(np.argmin(np.abs(t - ta)))
-        j1 = int(np.argmin(np.abs(t - tb)))
+        j1 = int(np.argmin(np.abs(t - min(bps[ip + 1], t[-1]))))
+        d = C.shape[1] - 1
+        D = -mu * np.eye(d + 1, dtype=complex)
+        D += np.diag(np.arange(1, d + 1), -1)
+        F = np.exp(-mu * ta) * (UhG @ C)
+        gW = [F[nV:]]
+        for _ in range(top):
+            gW.append(gW[-1] @ D)
+        xW = _w_coordinates(N, gW)
 
-        C = f.coeffs[ip]
-        pref = np.exp(-mu * ta)
-        F = _ExpPoly(mu, pref * (U.conj().T @ (G @ C)))
-
-        # W blocks, bottom row (W_1, last position) upward
-        blocks = [None] * (k + 1)
-        for q in range(k, 0, -1):
-            acc = _ExpPoly(mu, np.zeros((sizes[q], F.coeffs.shape[1])))
-            for r in range(q + 1, k + 1):
-                Rqr = Rt[edges[q]:edges[q + 1], edges[r]:edges[r + 1]]
-                acc = acc.add(blocks[r].matmul(Rqr))
-            xq = _ExpPoly(mu, -F.coeffs[edges[q]:edges[q + 1], :])
-            blocks[q] = xq.add(acc.differentiate())
-
-        old_w = xt[edges[1]:, j0].copy()
-        if k:
-            Wc = np.vstack([blocks[q].coeffs for q in range(1, k + 1)])
-            xt[edges[1]:, j0:j1 + 1] = _ExpPoly(mu, Wc).eval(t[j0:j1 + 1] - ta)
-
-        if nV and ip > 0:
-            # forcing jump: R y stays continuous, so the V coordinate jumps
-            # by -B R_{0,W} (w(ta+) - w(ta-))
-            delta_w = xt[edges[1]:, j0] - old_w
-            xV = xV - B @ (Rt[:nV, edges[1]:] @ delta_w)
-
+        old_w = xt[nV:, j0].copy()
+        s = t[j0:j1 + 1] - ta
+        powers = s ** np.arange(d + 1)[:, None]
+        xt[nV:, j0:j1 + 1] = np.exp(-mu * s) * (xW[0] @ powers)
         if nV:
-            # h_sig = f_V - d/ds sum_r R[0,r] x_r ; ODE x' = B x + B h_sig
-            acc = _ExpPoly(mu, np.zeros((nV, F.coeffs.shape[1])))
-            for r in range(1, k + 1):
-                R0r = Rt[:nV, edges[r]:edges[r + 1]]
-                acc = acc.add(blocks[r].matmul(R0r))
-            h_sig = _ExpPoly(mu, F.coeffs[:nV, :]).add(
-                _ExpPoly(mu, -acc.differentiate().coeffs))
-            Hc = B @ h_sig.coeffs
-            d = Hc.shape[1] - 1
-            # companion state z(s) = e^(-mu s) (1, s, ..., s^d)
-            Mz = -mu * np.eye(d + 1, dtype=complex)
-            Mz += np.diag(np.arange(1, d + 1), -1)
+            if ip > 0:
+                # forcing jump: R y stays continuous, so the V coordinate
+                # jumps by -B R_{0,W} (w(ta+) - w(ta-))
+                xV = xV - B @ (Rt[:nV, nV:] @ (xt[nV:, j0] - old_w))
+            # ODE x' = B x + B h_sig with h_sig = f_V - R_0W x_W'
+            h_sig = F[:nV] - Rt[:nV, nV:] @ xW[1] if k else F[:nV]
             Maug = np.zeros((nV + d + 1, nV + d + 1), dtype=complex)
             Maug[:nV, :nV] = B
-            Maug[:nV, nV:] = Hc
-            Maug[nV:, nV:] = Mz
+            Maug[:nV, nV:] = B @ h_sig
+            Maug[nV:, nV:] = D
             Phi = expm(h * Maug)
-            w = np.zeros(nV + d + 1, dtype=complex)
-            w[:nV] = xV
-            w[nV] = 1.0
-            xt[:nV, j0] = w[:nV]
+            # companion state z(s) at the piece's first grid time
+            w = np.concatenate([xV, np.exp(-mu * s[0]) * powers[:, 0]])
+            xt[:nV, j0] = xV
             for j in range(j0 + 1, j1 + 1):
                 w = Phi @ w
                 xt[:nV, j] = w[:nV]
@@ -206,27 +180,18 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
         if j1 == t.size - 1:
             break
 
-    traj = np.exp(mu * t)[None, :] * (U @ xt)
-    return traj
+    return np.exp(mu * t)[None, :] * (U @ xt)
 
 
 def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
     """Derivatives of orders 0..top at the times ts, one column per time.
 
     Returns (g, xW): g[o] is the o-th derivative of the staircase forcing
-    g(t) = e^(-mu t) U^* G f(t), xW[o] that of the W coordinates.  Each W
-    block solves x_q = -g_q + sum_{r>q} R_qr x_r', so with N the strictly
-    upper block part of R on W, xW^(o) = N xW^(o+1) - g_W^(o), substituted
-    from the top order down.  Cutting the series at top only spoils orders
-    above a block's own need (x_q up to order q), which are never read.
+    g(t) = e^(-mu t) U^* G f(t), xW[o] that of the W coordinates.
     """
     gf = [UhG @ f.sample(ts, j) for j in range(top + 1)]
     g = [_shifted_derivative(gf, mu, ts, o) for o in range(top + 1)]
-    xW = [None] * (top + 1)
-    xW[top] = -g[top][nV:]
-    for o in range(top - 1, -1, -1):
-        xW[o] = N @ xW[o + 1] - g[o][nV:]
-    return g, xW
+    return g, _w_coordinates(N, [go[nV:] for go in g])
 
 
 def _solve_fd(p, stair, x0, f, t, h, mu):
@@ -236,37 +201,20 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     array products; only the V_k recurrence x_j = Phi x_{j-1} + c_j steps
     point by point.
     """
-    n = p.n
-    U = stair.unitary
-    sizes = stair.block_sizes
-    edges = _block_edges(sizes)
+    U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
     k = stair.k
-    nV = sizes[0]
-    Rt = stair.transform(mu)
-    Uh = U.conj().T
-    UhG = Uh @ stair.chain.G
-
-    needed = k  # W chain uses k-1 derivatives, the V forcing one more
-    if f.max_derivative_order < needed:
-        raise InsufficientSmoothness(needed, f.max_derivative_order)
     if f.kind == "sampled":
         warnings.warn("sampled forcing: derivatives via finite differences")
-
-    N = np.zeros((n - nV, n - nV), dtype=complex)
-    for q in range(1, k + 1):
-        N[edges[q] - nV:edges[q + 1] - nV, edges[q + 1] - nV:] = \
-            Rt[edges[q]:edges[q + 1], edges[q + 1]:]
     top = k if nV else k - 1
 
-    xt = np.zeros((n, t.size), dtype=complex)
+    xt = np.zeros((p.n, t.size), dtype=complex)
     if nV:
-        B = spla.inv(Rt[:nV, :nV])
         nodes, weights = np.polynomial.legendre.leggauss(4)
         taus = 0.5 * h * (nodes + 1.0)
         ws = 0.5 * h * weights
         Phi = expm(h * B)
         prop = [expm((h - tq) * B) for tq in taus]
-        xV = (Uh @ np.asarray(x0, dtype=complex).reshape(-1))[:nV]
+        xV = (U.conj().T @ x0)[:nV]
         xt[:nV, 0] = xV
 
     for b0 in range(0, t.size, _BLOCK):
@@ -303,6 +251,9 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
         mu = _pick_mu(p)
     x0 = np.zeros(p.n, dtype=complex) if x0 is None else \
         np.asarray(x0, dtype=complex).reshape(-1)
+    if x0.size != p.n:
+        raise ValueError(f"x0 has {x0.size} entries, the pencil has n = {p.n}")
+    _check_forcing(f, t)
 
     stair = staircase_from_chain(p, build_chain(p, mu, side="right"))
     k = stair.k
@@ -362,9 +313,8 @@ def solve_homogeneous(p: MatrixPencil, x0, t_grid,
         mild_residual=np.nan, mu_used=mu, index_k=k,
         block_sizes=chain.block_sizes, method="semigroup")
     if t.size >= 5:
-        from .forcing import zero_forcing
-        f0 = zero_forcing(p.n, float(t[-1]))
-        cls_r, mild_r = residuals(p, report, f0)
+        cls_r, mild_r = residuals(p, report,
+                                  PolynomialForcing.zero(p.n, float(t[-1])))
         report.classical_residual = cls_r
         report.mild_residual = mild_r
     return report

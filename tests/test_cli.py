@@ -179,6 +179,35 @@ def test_solve_five_sample_csv_exits_one(tmp_path, capsys):
     assert "6 samples" in capsys.readouterr().err
 
 
+def test_solve_x0_length_exits_one(tmp_path, capsys):
+    f = tmp_path / "pencil.json"
+    write_pencil(f, np.eye(4), -np.eye(4))
+    code = main(["solve", "--input", str(f), "--x0", "[1.0, 2.0]",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: x0 has 2 entries, the pencil has n = 4" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("breakpoints, message", [
+    ([0.0, 0.37, 1.0], "forcing breakpoints must lie on the time grid"),
+    ([0.0, 0.5, 0.75], "forcing covers [0, 0.75], not the time grid [0, 1]"),
+])
+def test_solve_bad_breakpoints_exit_one(tmp_path, capsys, breakpoints,
+                                        message):
+    f = tmp_path / "pencil.json"
+    write_pencil(f, np.eye(2), -np.eye(2))
+    forcing = {"breakpoints": breakpoints, "pieces": [
+        {"rows": 2, "cols": 1, "re": [1.0, 0.0]}] * 2}
+    g = tmp_path / "forcing.json"
+    g.write_text(json.dumps(forcing))
+    code = main(["solve", "--input", str(f), "--forcing", str(g),
+                 "--tf", "1.0", "--steps", "10", "--out", str(tmp_path)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_demo_weierstrass_indices_agree(tmp_path):
     code = main(["demo", "weierstrass", "--index", "3", "--seed", "4",
                  "--out", str(tmp_path)])

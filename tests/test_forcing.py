@@ -6,7 +6,6 @@ from adae.forcing import (
     CallableForcing,
     PolynomialForcing,
     SampledForcing,
-    zero_forcing,
 )
 
 
@@ -102,7 +101,7 @@ def test_callable_forcing():
 
 
 def test_zero_forcing():
-    f = zero_forcing(3, 5.0)
+    f = PolynomialForcing.zero(3, 5.0)
     assert np.allclose(f.value(2.0), np.zeros(3))
     assert np.allclose(f.derivative(2.0, 4), np.zeros(3))
 
