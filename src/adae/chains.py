@@ -29,7 +29,9 @@ from .numerics import (
     null_basis,
     orthonormal_complement,
     range_basis,
+    rank_with_tol,
     subspace_distance,
+    subspace_intersection,
 )
 from .pencil import (
     MatrixPencil,
@@ -46,6 +48,7 @@ __all__ = [
     "check_decomposition",
     "build_staircase",
     "staircase_from_chain",
+    "compressed_inverse",
     "restricted_generator",
     "y_impli_check",
 ]
@@ -245,28 +248,29 @@ class RestrictedGenerator:
         return self.matrix.shape[0]
 
 
-def restricted_generator(p: MatrixPencil, chain: SubspaceChain) -> RestrictedGenerator:
-    """A_R on V_k from the graph {(R(mu)x, x + mu R(mu)x) : x in V_k}."""
+def compressed_inverse(p: MatrixPencil, chain: SubspaceChain) -> np.ndarray:
+    """S^-1 for S = Q^* R(mu) Q, R(mu) compressed to V_k (basis Q), once
+    V_k (+) W_k holds and R(mu) is injective on V_k."""
     holds, _ = check_decomposition(chain, p.pol)
     if not holds:
         raise ChainNotStabilized("range/kernel decomposition does not hold")
-    k = chain.stabilization_k
-    Vk = chain.V[k]
-    if Vk.dim == 0:
-        return RestrictedGenerator(
-            basis=Vk, matrix=np.zeros((0, 0), dtype=complex),
-            mu_used=chain.mu, side=chain.side)
     R = chain.R
-    Q = Vk.basis
+    Q = chain.V[chain.stabilization_k].basis
     S = Q.conj().T @ R @ Q
-    svals = spla.svdvals(S)
-    scale = max(np.linalg.norm(R, 2), 1.0)
-    if svals[-1] <= p.pol.rank_rel_tol * scale * Vk.dim:
+    svals = spla.svdvals(S)  # empty when V_k = {0}
+    if svals.size and svals[-1] <= (p.pol.rank_rel_tol
+                                     * max(np.linalg.norm(R, 2), 1.0) * len(S)):
         raise NotInjectiveOnVk(
             f"compressed R(mu) has min singular value {svals[-1]:.3e}")
-    A_R = chain.mu * np.eye(Vk.dim) + spla.inv(S)
-    return RestrictedGenerator(basis=Vk, matrix=A_R, mu_used=chain.mu,
-                               side=chain.side)
+    return spla.inv(S)
+
+
+def restricted_generator(p: MatrixPencil, chain: SubspaceChain) -> RestrictedGenerator:
+    """A_R on V_k from the graph {(R(mu)x, x + mu R(mu)x) : x in V_k}."""
+    S_inv = compressed_inverse(p, chain)
+    return RestrictedGenerator(basis=chain.V[chain.stabilization_k],
+                               matrix=chain.mu * np.eye(len(S_inv)) + S_inv,
+                               mu_used=chain.mu, side=chain.side)
 
 
 def y_impli_check(p: MatrixPencil):
@@ -275,9 +279,6 @@ def y_impli_check(p: MatrixPencil):
     Requires 0 in the resolvent set (checked via rank of A).  When true, the
     restriction of E A^-1 to ran E has an operator graph; reported alongside.
     """
-    from .numerics import rank_with_tol, subspace_intersection
-    from .exceptions import NotInResolventSet
-
     if rank_with_tol(p.A, p.pol) < p.n:
         raise NotInResolventSet(0, "A is singular")
     kerE = null_basis(p.E, p.pol)

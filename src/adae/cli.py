@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.linalg as spla
 
 from .chains import staircase_from_chain, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
@@ -97,7 +98,16 @@ def _policy(args):
     return TolerancePolicy()
 
 
-def _load_pencil(args, pol):
+def _read_input(load, args):
+    """load(args), or None once a bad input is reported as `error: ...`."""
+    try:
+        return load(args)
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+
+
+def _load_pencil(args):
+    pol = _policy(args)
     if args.input and args.model:
         raise ValueError("give either --input or --model, not both")
     if args.input:
@@ -126,11 +136,8 @@ def _cert_dict(c):
 
 
 def cmd_analyze(args):
-    pol = _policy(args)
-    try:
-        p = _load_pencil(args, pol)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    p = _read_input(_load_pencil, args)
+    if p is None:
         return 1
     if not p.is_square:
         print("error: analyze requires a square pencil", file=sys.stderr)
@@ -199,18 +206,18 @@ def _load_forcing(args, n, tf):
     return PolynomialForcing.zero(n, tf)
 
 
+def _load_solve_inputs(args):
+    p = _load_pencil(args)
+    f = _load_forcing(args, p.n, args.tf)
+    x0 = json.loads(args.x0) if args.x0 else np.zeros(p.n)
+    return p, f, np.asarray(x0, dtype=complex)
+
+
 def cmd_solve(args):
-    pol = _policy(args)
-    try:
-        p = _load_pencil(args, pol)
-        f = _load_forcing(args, p.n, args.tf)
-        if args.x0:
-            x0 = np.asarray(json.loads(args.x0), dtype=complex)
-        else:
-            x0 = np.zeros(p.n, dtype=complex)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    inputs = _read_input(_load_solve_inputs, args)
+    if inputs is None:
         return 1
+    p, f, x0 = inputs
     t_grid = np.linspace(0.0, args.tf, args.steps + 1)
     try:
         report = solve_decoupled(p, x0, f, t_grid, mu=args.mu)
@@ -279,8 +286,7 @@ def _demo_rlc(args):
     if args.lossless:
         rng = np.random.default_rng(args.seed)
         x0 = rng.standard_normal(p.n)
-        rep = solve_decoupled(p, x0, PolynomialForcing.zero(p.n, args.tf),
-                              t_grid)
+        rep = solve_homogeneous(p, x0, t_grid)
     else:
         # unit step voltage at the left port: boundary row reads 0 = V(0) + f
         row_v, _ = model.boundary_forcing_indices()
@@ -289,7 +295,6 @@ def _demo_rlc(args):
         rep = solve_decoupled(p, np.zeros(p.n),
                               PolynomialForcing.constant(fvec, args.tf), t_grid)
     energy = _write_demo_outputs(args.out, p, rep)
-    import scipy.linalg as spla
     summary = {
         "model": "rlc",
         "m": args.m,
@@ -343,11 +348,8 @@ def cmd_demo(args):
 
 
 def cmd_generate(args):
-    pol = _policy(args)
-    try:
-        p = _load_pencil(args, pol)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    p = _read_input(_load_pencil, args)
+    if p is None:
         return 1
     os.makedirs(args.out, exist_ok=True)
     write_pencil_json(os.path.join(args.out, "pencil.json"), p)

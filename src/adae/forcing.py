@@ -18,26 +18,22 @@ __all__ = [
 
 
 class ForcingSignal:
-    """Common interface: value(t), derivative(t, order), sample(ts, order),
-    max_derivative_order."""
+    """Common interface: sample(ts, order), max_derivative_order, and
+    value(t)/derivative(t, order) as one-column samples."""
 
     kind = "abstract"
     dim = 0
     max_derivative_order = 0
 
-    def value(self, t):
-        raise NotImplementedError
-
-    def derivative(self, t, order):
-        raise NotImplementedError
-
     def sample(self, ts, order=0):
         """The order-th derivative at every time of ts, as (dim, len(ts))."""
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        out = np.empty((self.dim, ts.size), dtype=complex)
-        for j, t in enumerate(ts):
-            out[:, j] = self.derivative(t, order)
-        return out
+        raise NotImplementedError
+
+    def value(self, t):
+        return self.sample([t])[:, 0]
+
+    def derivative(self, t, order):
+        return self.sample([t], order)[:, 0]
 
     def require_order(self, order):
         if order > self.max_derivative_order:
@@ -103,12 +99,6 @@ class PolynomialForcing(ForcingSignal):
                 out[:, cols] += ((fac * c[:, j])[:, None]
                                  * np.float_power(s, j - order))
         return out
-
-    def value(self, t):
-        return self.sample([t])[:, 0]
-
-    def derivative(self, t, order):
-        return self.sample([t], order)[:, 0]
 
     def left_multiplied(self, M):
         """The signal M f(t) for a constant matrix M."""
@@ -185,12 +175,6 @@ class SampledForcing(ForcingSignal):
                          - v[:, j - 3]) / (h * h)
         return out
 
-    def value(self, t):
-        return self.sample([t])[:, 0]
-
-    def derivative(self, t, order):
-        return self.sample([t], order)[:, 0]
-
 
 class CallableForcing(ForcingSignal):
     """f given as a function of t, optionally with derivative functions."""
@@ -203,11 +187,11 @@ class CallableForcing(ForcingSignal):
         self.derivs = list(derivatives)
         self.max_derivative_order = len(self.derivs)
 
-    def value(self, t):
-        return np.asarray(self.fn(t), dtype=complex).reshape(-1)
-
-    def derivative(self, t, order):
-        if order == 0:
-            return self.value(t)
+    def sample(self, ts, order=0):
         self.require_order(order)
-        return np.asarray(self.derivs[order - 1](t), dtype=complex).reshape(-1)
+        fn = self.derivs[order - 1] if order else self.fn
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        out = np.empty((self.dim, ts.size), dtype=complex)
+        for j, t in enumerate(ts):
+            out[:, j] = np.asarray(fn(t), dtype=complex).reshape(-1)
+        return out

@@ -18,6 +18,7 @@ from math import ceil
 import numpy as np
 import scipy.linalg as spla
 
+from .chains import build_chain
 from .exceptions import ChainStalled, NotInResolventSet
 from .numerics import (
     Subspace,
@@ -288,19 +289,18 @@ def check_left_dissipativity(p: MatrixPencil, omega: float = 0.0) -> GrowthCerti
                              detail=f"lambda_max(Herm(E^H A) - w E^H E) = {lam_max:.3e}")
 
 
-def _kernel_intersection_trivial(p):
+def _prerequisite_failure(p, omega):
+    """The first failing prerequisite shared by the D certificates, trivial
+    ker E /\\ ker A and a full-rank probe lambda0 E - A, or None."""
     kerE = null_basis(p.E, p.pol)
     kerA = null_basis(p.A, p.pol)
-    if kerE.dim == 0 or kerA.dim == 0:
-        return True
-    return subspace_intersection(kerE, kerA, p.pol).dim == 0
-
-
-def _full_rank_probe(p, omega):
+    if (kerE.dim and kerA.dim
+            and subspace_intersection(kerE, kerA, p.pol).dim):
+        return "ker E and ker A intersect nontrivially"
     for lam0 in (omega + 1.0, omega + 3.7, omega + 11.3):
         if rank_with_tol(lam0 * p.E - p.A, p.pol) == p.n:
-            return True
-    return False
+            return None
+    return "no full-rank probe lambda0 > omega found"
 
 
 def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
@@ -314,12 +314,10 @@ def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     if diss.verdict != "holds":
         return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
                                  detail="dissipativity fails: " + diss.detail)
-    if not _kernel_intersection_trivial(p):
+    failure = _prerequisite_failure(p, omega)
+    if failure:
         return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
-                                 detail="ker E and ker A intersect nontrivially")
-    if not _full_rank_probe(p, omega):
-        return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
-                                 detail="no full-rank probe lambda0 > omega found")
+                                 detail=failure)
     grid = LambdaGrid.default(omega=omega)
     measured = check_Dk(p, 1, grid, side="left")
     return GrowthCertificate("D1-cert", 1, omega, 1.0, "holds",
@@ -347,12 +345,10 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     if lam_max > p.pol.residual_tol * (np.linalg.norm(p.A, 2) + scale):
         return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
                                  detail="A - omega E is not dissipative")
-    if not _kernel_intersection_trivial(p):
+    failure = _prerequisite_failure(p, omega)
+    if failure:
         return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="ker E and ker A intersect nontrivially")
-    if not _full_rank_probe(p, omega):
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="no full-rank probe lambda0 > omega found")
+                                 detail=failure)
     svals = spla.svdvals(p.E)
     r = rank_with_tol(p.E, p.pol)
     if r == 0:
@@ -438,8 +434,6 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
     forces G_{k+1} and rules out G_{k-1}; in the bounded (matrix) setting
     R_k forces D_k on the appropriate subspace.
     """
-    from .chains import build_chain
-
     g_left, g_right, r_cert = _growth_certificates(
         p, grid, ("left", "right", "R"))
     chain_obj = tractability_chain(p)

@@ -283,6 +283,13 @@ def relation_resolvent(L: LinearRelation, lam: complex) -> np.ndarray:
     return top @ np.linalg.pinv(bot)
 
 
+def _cumulative_trapezoid(y, h) -> np.ndarray:
+    """Trapezoidal integrals of the columns of y with step(s) h, 0 first."""
+    out = np.zeros_like(y)
+    out[:, 1:] = np.cumsum(0.5 * h * (y[:, 1:] + y[:, :-1]), axis=1)
+    return out
+
+
 def mild_membership_residual(p: MatrixPencil, trajectory, times, forcing, x0,
                              lam: complex) -> float:
     """Distance of the mild-solution pair to the relation L_r, maximized over t.
@@ -309,10 +316,8 @@ def mild_membership_residual(p: MatrixPencil, trajectory, times, forcing, x0,
     P = L.space.projector()
 
     h = np.diff(t)
-    cum_x = np.zeros_like(x)
-    cum_f = np.zeros_like(f)
-    cum_x[:, 1:] = np.cumsum(0.5 * h * (x[:, 1:] + x[:, :-1]), axis=1)
-    cum_f[:, 1:] = np.cumsum(0.5 * h * (f[:, 1:] + f[:, :-1]), axis=1)
+    cum_x = _cumulative_trapezoid(x, h)
+    cum_f = _cumulative_trapezoid(f, h)
 
     worst = 0.0
     for j in range(t.size):

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import build_chain, restricted_generator, staircase_from_chain
+from .chains import build_chain, compressed_inverse, staircase_from_chain
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
@@ -33,7 +33,7 @@ from .exceptions import (
 from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .growth import _pick_mu
 from .numerics import expm
-from .pencil import MatrixPencil
+from .pencil import MatrixPencil, _cumulative_trapezoid
 
 __all__ = [
     "SolveReport",
@@ -70,7 +70,9 @@ def _shifted_derivative(gf, mu, ts, order):
     return np.exp(-mu * np.asarray(ts, dtype=float)) * acc
 
 
-def _check_grid(t_grid):
+def _check_grid(p, t_grid):
+    if not p.is_square:
+        raise ValueError("solver requires a square pencil")
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         raise GridTooCoarse("time grid needs at least 2 points")
@@ -101,13 +103,13 @@ def _check_forcing(f, t):
 def _staircase_parts(stair, mu):
     """Set-up shared by both paths: U, U^* G with G = (A - mu E)^-1, dim V_k,
     R(mu) in staircase coordinates, the strictly upper block part N of R on
-    W, and B = inverse of the V_k block of R (None when V_k = {0})."""
+    W, and B = the checked inverse of the V_k block of R."""
     U = stair.unitary
     nV = stair.dim_V
     Rt = stair.transform(mu)
     label = np.repeat(np.arange(stair.k + 1), stair.block_sizes)[nV:]
     N = np.where(label[:, None] < label[None, :], Rt[nV:, nV:], 0)
-    B = spla.inv(Rt[:nV, :nV]) if nV else None
+    B = compressed_inverse(stair.p, stair.chain)
     return U, U.conj().T @ stair.chain.G, nV, Rt, N, B
 
 
@@ -244,9 +246,7 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
 def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
                     mu: complex | None = None) -> SolveReport:
     """Solve the DAE by shift + staircase back-substitution + exact stepping."""
-    if not p.is_square:
-        raise ValueError("solver requires a square pencil")
-    t, h = _check_grid(t_grid)
+    t, h = _check_grid(p, t_grid)
     if mu is None:
         mu = _pick_mu(p)
     x0 = np.zeros(p.n, dtype=complex) if x0 is None else \
@@ -283,49 +283,18 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
 
 def solve_homogeneous(p: MatrixPencil, x0, t_grid,
                       mu: complex | None = None) -> SolveReport:
-    """f = 0: project x0 onto V_k and evolve with the degenerate semigroup.
+    """f = 0: x(t) = T_R(t) x0, the decoupled solve with zero forcing.
 
-    T_R(t) = Q e^(t A_R) Q^* on the orthonormal basis Q of V_k, so on the
-    uniform grid z_{j+1} = e^(h A_R) z_j and x_j = Q z_j with z_0 = Q^* x0.
-    The index and block sizes come from the same Wong chain of R(mu).
+    The forcing spans at least [0, 1], so solve_decoupled refuses a bad grid.
     """
-    if not p.is_square:
-        raise ValueError("solver requires a square pencil")
-    t, h = _check_grid(t_grid)
-    if mu is None:
-        mu = _pick_mu(p)
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    chain = build_chain(p, mu, side="right")
-    gen = restricted_generator(p, chain)
-    k = chain.stabilization_k
-
-    Q = gen.basis.basis
-    z = np.empty((Q.shape[1], t.size), dtype=complex)
-    z[:, 0] = Q.conj().T @ x0
-    Phi = expm(h * gen.matrix)
-    for j in range(1, t.size):
-        z[:, j] = Phi @ z[:, j - 1]
-    x0p = Q @ z[:, 0]
-    correction = float(np.linalg.norm(x0 - x0p))
-    report = SolveReport(
-        times=t, trajectory=Q @ z, consistent_x0=x0p,
-        correction_norm=correction, classical_residual=np.nan,
-        mild_residual=np.nan, mu_used=mu, index_k=k,
-        block_sizes=chain.block_sizes, method="semigroup")
-    if t.size >= 5:
-        cls_r, mild_r = residuals(p, report,
-                                  PolynomialForcing.zero(p.n, float(t[-1])))
-        report.classical_residual = cls_r
-        report.mild_residual = mild_r
-    return report
+    f = PolynomialForcing.zero(p.n, np.max(t_grid, initial=1.0))
+    return solve_decoupled(p, x0, f, t_grid, mu)
 
 
 def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
                              t_grid) -> SolveReport:
     """(E - h A) x_{n+1} = E x_n + h f(t_{n+1}); independent cross-check."""
-    if not p.is_square:
-        raise ValueError("solver requires a square pencil")
-    t, h = _check_grid(t_grid)
+    t, h = _check_grid(p, t_grid)
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     for attempt in range(4):
         M = p.E - h * p.A
@@ -378,10 +347,7 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
         (-Ex[:, 4:] + 8 * Ex[:, 3:-1] - 8 * Ex[:, 1:-3] + Ex[:, :-4]) / (12 * h)
         - Ax[:, 2:-2] - fv[:, 2:-2], axis=0))) / scale
 
-    cum_x = np.zeros_like(x)
-    cum_f = np.zeros_like(fv)
-    cum_x[:, 1:] = np.cumsum(0.5 * h * (x[:, 1:] + x[:, :-1]), axis=1)
-    cum_f[:, 1:] = np.cumsum(0.5 * h * (fv[:, 1:] + fv[:, :-1]), axis=1)
-    defect = Ex - Ex[:, [0]] - p.A @ cum_x - cum_f
+    defect = (Ex - Ex[:, [0]] - p.A @ _cumulative_trapezoid(x, h)
+              - _cumulative_trapezoid(fv, h))
     mild = float(np.max(np.linalg.norm(defect, axis=0))) / scale
     return classical, mild

@@ -64,7 +64,7 @@ def test_analyze_factors_once(tmp_path, monkeypatch):
     counts = {}
     _count(monkeypatch, counts, "ordqz", spla)
     _count(monkeypatch, counts, "_pick_mu", adae.growth)
-    _count(monkeypatch, counts, "build_chain", adae.chains)
+    _count(monkeypatch, counts, "build_chain", adae.chains, adae.growth)
     code = main(["analyze", "--model", "weierstrass", "--index", "1",
                  "--out", str(tmp_path)])
     assert code == 0
@@ -254,3 +254,10 @@ def test_input_and_model_conflict(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "not both" in capsys.readouterr().err
+
+
+def test_bad_tol_exits_one(tmp_path, capsys):
+    code = main(["analyze", "--model", "rlc", "--m", "4", "--tol", "2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: rank_rel_tol must lie in (0, 1)" in capsys.readouterr().err

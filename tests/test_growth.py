@@ -282,7 +282,7 @@ def test_report_factorization_counts(monkeypatch):
     inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
     sweep = _count_calls(monkeypatch, adae.growth, "resolvent_at")
     mu = _count_calls(monkeypatch, adae.growth, "_pick_mu")
-    chain = _count_calls(monkeypatch, adae.chains, "build_chain")
+    chain = _count_calls(monkeypatch, adae.growth, "build_chain")
     rep = index_comparison_report(p, grid)
     assert rep["D_check"] is not None  # R_1 holds: check_Dk ran too
     assert len(qz) == 1

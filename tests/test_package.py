@@ -1,0 +1,65 @@
+"""Import hygiene of the package source, by an AST scan of src/adae."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "adae"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(node):
+    """The names a module-level import statement binds."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        elif isinstance(node, ast.Import):
+            yield alias.name.split(".")[0]
+        else:
+            yield alias.name
+
+
+def _exported(tree):
+    """Names listed in a literal __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return {e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    bad = [f"{path.name}:{inner.lineno}"
+           for node in ast.walk(_tree(path))
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for inner in ast.walk(node)
+           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not bad, f"imports inside functions: {bad}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    # __init__.py re-exports what it imports, so it is not scanned
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = [f"{path.name}:{node.lineno} {name}"
+              for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              for name in _imported_names(node) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_scan_sees_the_package():
+    assert {"chains.py", "cli.py", "solver.py"} <= {p.name for p in MODULES}

@@ -9,7 +9,7 @@ import scipy.linalg as spla
 from conftest import random_index_pencil
 from adae import solver
 from adae.chains import build_staircase
-from adae.exceptions import InsufficientSmoothness
+from adae.exceptions import GridTooCoarse, InsufficientSmoothness
 from adae.forcing import (
     CallableForcing,
     PolynomialForcing,
@@ -73,6 +73,27 @@ def test_correction_norm_diagonal(diag_pencil):
     assert abs(rep.correction_norm - 5.0) < 1e-10
     assert np.allclose(rep.trajectory[0], np.exp(-t), atol=1e-12)
     assert np.allclose(rep.trajectory[1], 0.0, atol=1e-12)
+
+
+def test_homogeneous_bad_inputs():
+    p = MatrixPencil(np.eye(2), -np.eye(2))
+    with pytest.raises(ValueError,
+                       match="x0 has 1 entries, the pencil has n = 2"):
+        solve_homogeneous(p, [1.0], np.linspace(0.0, 1.0, 11))
+    # the grid, not the zero forcing built from it, is refused
+    with pytest.raises(GridTooCoarse):
+        solve_homogeneous(p, [1.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="uniform and increasing"):
+        solve_homogeneous(p, [1.0, 0.0], [0.0, -1.0])
+
+
+def test_homogeneous_is_decoupled_with_zero_forcing(diag_pencil):
+    t = np.linspace(0.0, 2.0, 41)
+    rep = solve_homogeneous(diag_pencil, [1.0, 5.0], t)
+    ref = solve_decoupled(diag_pencil, [1.0, 5.0],
+                          PolynomialForcing.zero(2, 2.0), t)
+    assert rep.method == "staircase-exact"
+    assert rep.trajectory.tobytes() == ref.trajectory.tobytes()
 
 
 def test_nilpotent_closed_form(n2_pencil):
