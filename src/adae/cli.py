@@ -16,13 +16,7 @@ import scipy.linalg as spla
 from .chains import staircase_from_chain, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
-from .growth import (
-    LambdaGrid,
-    certify_D1,
-    certify_D2,
-    check_left_dissipativity,
-    index_comparison_report,
-)
+from .growth import LambdaGrid, certify_D2, index_comparison_report
 from .io import (
     read_pencil_json,
     write_csv_table,
@@ -149,7 +143,7 @@ def cmd_analyze(args):
         points=np.logspace(np.log10(args.lambda_min),
                            np.log10(args.lambda_max), args.lambda_points),
         omega=0.0)
-    rep = index_comparison_report(p, grid)
+    rep = index_comparison_report(p, grid, omega=args.omega)
     mu, chain = rep["wong_mu"], rep["wong_chain"]
     stair = staircase_from_chain(p, chain)
     try:
@@ -174,9 +168,9 @@ def cmd_analyze(args):
         "qz_eigenvalues": [
             None if e == np.inf else [e.real, e.imag]
             for e in rep["qz_eigenvalues"]],
-        "dissipativity": check_left_dissipativity(p, args.omega).to_dict(),
-        "D1_certificate": certify_D1(p, args.omega).to_dict(),
-        "D2_certificate": certify_D2(p, args.omega).to_dict(),
+        "dissipativity": rep["dissipativity"].to_dict(),
+        "D1_certificate": rep["D1_certificate"].to_dict(),
+        "D2_certificate": rep["D2_certificate"].to_dict(),
         "y_impli": yimp,
         "violations": rep["violations"],
     }

@@ -12,6 +12,7 @@ grid; certificates record the evidence grid and the smallest observed M.
 """
 
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import ceil
 
@@ -28,7 +29,7 @@ from .numerics import (
     rank_with_tol,
     subspace_intersection,
 )
-from .pencil import MatrixPencil, pseudo_resolvent, resolvent_at
+from .pencil import MatrixPencil, _sweep_resolvent, pseudo_resolvent
 
 __all__ = [
     "LambdaGrid",
@@ -93,24 +94,103 @@ class GrowthCertificate:
         }
 
 
-def _grid_sweep(grid, sample, width):
-    """Evaluate sample(lam, first) over the grid, shrinking past failures.
+class _Sweep:
+    """Norms of (lam E - A)^-1 and of the pseudo-resolvents at the points of
+    several lambda grids, from one certified inverse per distinct lambda.
 
-    `sample` returns `width` norms at lam; `first` is True when no point
-    below lam is kept.  A NotInResolventSet at lam drops every point below
-    it.  Returns the kept points, an array with one row of norms per kept
-    point, and the highest failing lambda (None if none failed).
+    A norm is named "R" (of (lam E - A)^-1), "left" or "right" (of R_l(lam)
+    or R_r(lam)), or (side, j) for R_side(lam) restricted to `bases[j]`.
+    `run` computes the norms asked for one lambda at a time, in ascending
+    order, and keeps the norms, not the inverse.  A lambda outside the
+    resolvent set is recorded in `failed`; on every grid it drops the points
+    below it.
     """
-    lams, rows = [], []
-    failed_at = None
-    for lam in grid.points:
-        try:
-            rows.append(sample(lam, not lams))
-            lams.append(float(lam))
-        except NotInResolventSet:
-            failed_at = lam
-            lams, rows = [], []  # keep only points above the failure
-    return np.array(lams), np.array(rows, dtype=float).reshape(-1, width), failed_at
+
+    def __init__(self, p):
+        self.p = p
+        self.bases = []
+        self.values = {}  # lambda -> {name: norm}
+        self.failed = set()
+        self._restrictions = {}  # (k, omega, side) -> name or None
+
+    def restriction(self, k, omega, side):
+        """The name of the norm of R_side(lam) restricted to
+        ran R(omega)^(k-1), or None when that space is trivial."""
+        key = (k, omega, side)
+        if key not in self._restrictions:
+            Q = _ran_R_power(self.p, omega, k - 1, side)
+            if Q.dim == 0:
+                name = None
+            elif k == 1:  # the whole space
+                name = side
+            else:
+                basis = Q.basis
+                if self.p.real_E is not None:
+                    # the restriction spaces of a real pencil at real omega
+                    # are closed under conjugation, so the real and
+                    # imaginary parts of the basis span the same space:
+                    # restrict to a real orthonormal basis of it, so that
+                    # real sweeps stay real
+                    u = np.linalg.svd(np.hstack([basis.real, basis.imag]),
+                                      full_matrices=False)[0]
+                    basis = u[:, :Q.dim]
+                self.bases.append(basis)
+                name = side, len(self.bases) - 1
+            self._restrictions[key] = name
+        return self._restrictions[key]
+
+    def run(self, wanted):
+        """Compute every (lambda, name) in `wanted` that is not known yet."""
+        todo = {}
+        for lam, name in wanted:
+            lam = float(lam)
+            if lam not in self.failed and name not in self.values.get(lam, ()):
+                todo.setdefault(lam, {})[name] = None
+        for lam in sorted(todo):
+            try:
+                E, res = _sweep_resolvent(self.p, lam)  # (lam E - A)^-1
+            except NotInResolventSet:
+                self.failed.add(lam)
+                continue
+            # pivoted LU commutes with negation, so -res is bitwise the
+            # inverse of A - lam E that the pseudo-resolvents are built from
+            sides = {}
+            vals = self.values.setdefault(lam, {})
+            for name in todo[lam]:
+                if name == "R":
+                    m = res
+                else:
+                    side, j = (name, None) if isinstance(name, str) else name
+                    if side not in sides:
+                        sides[side] = E @ (-res) if side == "left" else (-res) @ E
+                    m = sides[side] if j is None else sides[side] @ self.bases[j]
+                vals[name] = np.linalg.norm(m, 2)
+
+    def kept(self, grid, name):
+        """The points of `grid` above its highest failing lambda, their norms
+        `name`, and that lambda (None if none failed)."""
+        fails = [lam for lam in grid.points if float(lam) in self.failed]
+        failed_at = fails[-1] if fails else None
+        lams = [float(lam) for lam in grid.points
+                if failed_at is None or lam > failed_at]
+        return (np.array(lams),
+                np.array([self.values[lam][name] for lam in lams], dtype=float),
+                failed_at)
+
+
+# The sweep that index_comparison_report shares with the estimators and
+# certificates it calls: it computes every norm they will read before they
+# run, so they find them there.  Outside a report each call sweeps alone.
+_SHARED_SWEEP = ContextVar("adae_shared_sweep", default=None)
+
+
+def _sweep_for(p):
+    sweep = _SHARED_SWEEP.get()
+    return sweep if sweep is not None and sweep.p is p else _Sweep(p)
+
+
+def _on_grid(grid, *names):
+    return [(lam, name) for lam in grid.points for name in names]
 
 
 def _warn_shrunk(failed_at, kept):
@@ -138,9 +218,16 @@ def _slope_fit(lams, norms):
     return float(coef[0]), resid
 
 
-def _index_certificate(kind, grid, lams, norms):
-    """Smallest k with lambda^(c-k) ||.|| bounded (c = 2 for G, 1 for R)."""
-    c = 2 if kind == "G" else 1
+def _index_estimate(p, grid, name):
+    """Smallest k with lambda^(c-k) ||.|| bounded: c = 2 for G_k on the
+    pseudo-resolvent `name` ("left"/"right"), c = 1 for R_k (name "R")."""
+    if grid is None:
+        grid = LambdaGrid.default()
+    sweep = _sweep_for(p)
+    sweep.run(_on_grid(grid, name))
+    lams, norms, failed_at = sweep.kept(grid, name)
+    _warn_shrunk(failed_at, lams.size)
+    kind, c = ("R", 1) if name == "R" else ("G", 2)
     if lams.size < 4:
         return GrowthCertificate(kind, 0, grid.omega, np.inf, "inconclusive",
                                  detail="too few usable grid points")
@@ -157,45 +244,18 @@ def _index_certificate(kind, grid, lams, norms):
                              detail=f"slope {slope:.3f}, fit residual {resid:.3f}")
 
 
-def _growth_certificates(p, grid, kinds):
-    """G/R index estimates from one certified inverse per lambda.
-
-    `kinds` holds "left"/"right" (G_k on that pseudo-resolvent) and "R"
-    (R_k).  Each lambda inverts lam*E - A once and takes every requested
-    norm from it; the inverse is dropped before the next lambda.
-    """
-    if grid is None:
-        grid = LambdaGrid.default()
-
-    def sample(lam, first):
-        res = resolvent_at(p, lam).inverse  # (lam E - A)^-1
-        # pivoted LU commutes with negation, so -res is bitwise the inverse
-        # of A - lam E that the pseudo-resolvents are built from
-        mats = {"R": lambda: res, "left": lambda: p.E @ (-res),
-                "right": lambda: (-res) @ p.E}
-        return [np.linalg.norm(mats[kind](), 2) for kind in kinds]
-
-    lams, norms, failed_at = _grid_sweep(grid, sample, len(kinds))
-    certs = []
-    for j, kind in enumerate(kinds):
-        _warn_shrunk(failed_at, lams.size)
-        certs.append(_index_certificate("R" if kind == "R" else "G", grid,
-                                        lams, norms[:, j]))
-    return certs
-
-
 def estimate_G_index(p: MatrixPencil, grid: LambdaGrid | None = None,
                      side: str = "left") -> GrowthCertificate:
     """Smallest k with lambda^(2-k) ||R(lambda)|| bounded, from a slope fit."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _growth_certificates(p, grid, (side,))[0]
+    return _index_estimate(p, grid, side)
 
 
 def estimate_R_index(p: MatrixPencil,
                      grid: LambdaGrid | None = None) -> GrowthCertificate:
     """Smallest k with lambda^(1-k) ||(lambda E - A)^-1|| bounded."""
-    return _growth_certificates(p, grid, ("R",))[0]
+    return _index_estimate(p, grid, "R")
 
 
 def _ran_R_power(p, omega, power, side):
@@ -210,6 +270,14 @@ def _ran_R_power(p, omega, power, side):
     return sub
 
 
+def _Dk_wanted(grid, name, side):
+    """The norms (D_k) on `grid` reads from a sweep: the restricted norms
+    `name`, and ||R_side(lam)|| at the lowest kept point, which scales the
+    vanishing test (asked for at the lowest grid point, and computed late
+    only when a failing lambda drops that point)."""
+    return _on_grid(grid, name) + [(grid.points[0], side)]
+
+
 def check_Dk(p: MatrixPencil, k: int, grid: LambdaGrid | None = None,
              side: str = "left") -> GrowthCertificate:
     """(D_k): (lambda-omega) ||R(lambda)|restricted|| bounded on ran R(w)^(k-1).
@@ -220,29 +288,24 @@ def check_Dk(p: MatrixPencil, k: int, grid: LambdaGrid | None = None,
     """
     if k < 1:
         raise ValueError("check_Dk needs k >= 1")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if grid is None:
         grid = LambdaGrid.default()
     omega = grid.omega
-    Q = _ran_R_power(p, omega, k - 1, side)
-    if Q.dim == 0:
+    sweep = _sweep_for(p)
+    name = sweep.restriction(k, omega, side)
+    if name is None:
         return GrowthCertificate("D", k, omega, 0.0, "holds",
                                  detail="restriction subspace is trivial")
-
-    def sample(lam, first):
-        R = pseudo_resolvent(p, lam, side)
-        # at k = 1 the restriction subspace is the whole space
-        nrm = np.linalg.norm(R if k == 1 else R @ Q.basis, 2)
-        # ||R(lam)|| at the lowest kept point scales the vanishing test
-        if k == 1:
-            return nrm, nrm
-        return nrm, np.linalg.norm(R, 2) if first else np.nan
-
-    lams, rows, failed_at = _grid_sweep(grid, sample, 2)
+    sweep.run(_Dk_wanted(grid, name, side))
+    lams, norms, failed_at = sweep.kept(grid, name)
     _warn_shrunk(failed_at, lams.size)
     if lams.size < 4:
         return GrowthCertificate("D", k, omega, np.inf, "inconclusive",
                                  detail="too few usable grid points")
-    norms, scale = rows[:, 0], rows[0, 1]
+    sweep.run([(lams[0], side)])
+    scale = sweep.values[lams[0]][side]
     vals = (lams - omega) * norms
     M = float(np.max(vals))
     # restricted resolvent vanishing identically: vals are pure noise
@@ -280,8 +343,7 @@ def check_left_dissipativity(p: MatrixPencil, omega: float = 0.0) -> GrowthCerti
         raise ValueError("dissipativity check requires a square pencil")
     H = _herm(p.E.conj().T @ p.A) - omega * (p.E.conj().T @ p.E)
     lam_max = float(np.max(spla.eigvalsh(H))) if p.n else 0.0
-    scale = (np.linalg.norm(p.E, 2) * np.linalg.norm(p.A, 2)
-             + np.linalg.norm(p.E, 2) ** 2 + 1.0)
+    scale = p.norm_E * p.norm_A + p.norm_E ** 2 + 1.0
     ok = lam_max <= p.pol.residual_tol * scale
     return GrowthCertificate("dissip", 0, omega, 1.0,
                              "holds" if ok else "fails",
@@ -303,6 +365,24 @@ def _prerequisite_failure(p, omega):
     return "no full-rank probe lambda0 > omega found"
 
 
+def _D1_failure(p, omega, diss):
+    """Why certify_D1 fails at omega, given the dissipativity certificate
+    at omega, or None."""
+    if diss.verdict != "holds":
+        return "dissipativity fails: " + diss.detail
+    return _prerequisite_failure(p, omega)
+
+
+def _D1_certificate(p, omega, failure):
+    if failure:
+        return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
+                                 detail=failure)
+    measured = check_Dk(p, 1, LambdaGrid.default(omega=omega), side="left")
+    return GrowthCertificate("D1-cert", 1, omega, 1.0, "holds",
+                             evidence=measured.evidence,
+                             detail=f"measured grid constant {measured.M:.6f}")
+
+
 def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     """Sufficient conditions for (D_1) with M = 1.
 
@@ -311,18 +391,41 @@ def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     records the measured grid constant for cross-validation.
     """
     diss = check_left_dissipativity(p, omega)
-    if diss.verdict != "holds":
-        return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
-                                 detail="dissipativity fails: " + diss.detail)
+    return _D1_certificate(p, omega, _D1_failure(p, omega, diss))
+
+
+def _D2_prerequisites(p, omega):
+    """(why certify_D2 fails at omega or None, M1, M2)."""
+    scale = p.norm_E + 1.0
+    if np.linalg.norm(p.E - p.E.conj().T, 2) > p.pol.residual_tol * scale:
+        return "E is not self-adjoint", None, None
+    eigE = spla.eigvalsh(_herm(p.E)) if p.n else np.array([])
+    if eigE.size and eigE[0] < -p.pol.residual_tol * scale:
+        return "E has a negative eigenvalue", None, None
+    HA = _herm(p.A - omega * p.E)
+    lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
+    if lam_max > p.pol.residual_tol * (p.norm_A + scale):
+        return "A - omega E is not dissipative", None, None
     failure = _prerequisite_failure(p, omega)
     if failure:
-        return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
+        return failure, None, None
+    svals = spla.svdvals(p.E)
+    r = rank_with_tol(p.E, p.pol)
+    if r == 0:
+        return "E vanishes", None, None
+    return None, float(svals[0]), float(svals[r - 1])
+
+
+def _D2_certificate(p, omega, prerequisites):
+    failure, M1, M2 = prerequisites
+    if failure:
+        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
                                  detail=failure)
-    grid = LambdaGrid.default(omega=omega)
-    measured = check_Dk(p, 1, grid, side="left")
-    return GrowthCertificate("D1-cert", 1, omega, 1.0, "holds",
+    measured = check_Dk(p, 2, LambdaGrid.default(omega=omega), side="left")
+    return GrowthCertificate("D2-cert", 2, omega, M1 / M2, "holds",
                              evidence=measured.evidence,
-                             detail=f"measured grid constant {measured.M:.6f}")
+                             detail=(f"M1={M1:.6f}, M2={M2:.6f}; "
+                                     f"measured grid constant {measured.M:.6f}"))
 
 
 def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
@@ -332,37 +435,7 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     trivial kernel intersection, and a surjective probe; M1/M2 are the
     extreme nonzero singular values of E.
     """
-    scale = np.linalg.norm(p.E, 2) + 1.0
-    if np.linalg.norm(p.E - p.E.conj().T, 2) > p.pol.residual_tol * scale:
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="E is not self-adjoint")
-    eigE = spla.eigvalsh(_herm(p.E)) if p.n else np.array([])
-    if eigE.size and eigE[0] < -p.pol.residual_tol * scale:
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="E has a negative eigenvalue")
-    HA = _herm(p.A - omega * p.E)
-    lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
-    if lam_max > p.pol.residual_tol * (np.linalg.norm(p.A, 2) + scale):
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="A - omega E is not dissipative")
-    failure = _prerequisite_failure(p, omega)
-    if failure:
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail=failure)
-    svals = spla.svdvals(p.E)
-    r = rank_with_tol(p.E, p.pol)
-    if r == 0:
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail="E vanishes")
-    M1 = float(svals[0])
-    M2 = float(svals[r - 1])
-    M = M1 / M2
-    grid = LambdaGrid.default(omega=omega)
-    measured = check_Dk(p, 2, grid, side="left")
-    return GrowthCertificate("D2-cert", 2, omega, M, "holds",
-                             evidence=measured.evidence,
-                             detail=(f"M1={M1:.6f}, M2={M2:.6f}; "
-                                     f"measured grid constant {measured.M:.6f}"))
+    return _D2_certificate(p, omega, _D2_prerequisites(p, omega))
 
 
 @dataclass
@@ -426,58 +499,101 @@ def tractability_chain(p: MatrixPencil, max_stages: int | None = None) -> Tracta
     return TractabilityChain(stages=stages, index=None)
 
 
-def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
+def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
+                            omega: float | None = None):
     """Run every index notion on one pencil and flag implication violations.
 
     Checks the one-way implications between the growth conditions:
     G_k forces the weak resolvent condition at the same k, which in turn
     forces G_{k+1} and rules out G_{k-1}; in the bounded (matrix) setting
     R_k forces D_k on the appropriate subspace.
+
+    Given `omega`, the report also holds the dissipativity, D1 and D2
+    certificates at omega.  The estimators and certificates share one
+    sweep: first the G/R grid, with what the D certificates read at its
+    points, then the rest of the D grids, once the R-index has fixed the
+    D_check restriction.  Each distinct lambda is inverted once, except
+    that a D_check at k >= 2 inverts its points on the G/R grid again for
+    its restricted norms.
     """
-    g_left, g_right, r_cert = _growth_certificates(
-        p, grid, ("left", "right", "R"))
+    if grid is None:
+        grid = LambdaGrid.default()
+    # the oracles that need no sweep run first, so that their temporaries
+    # are freed before the sweep's state is allocated (lower peak memory)
     chain_obj = tractability_chain(p)
     mu = _pick_mu(p)
     wong = build_chain(p, mu, side="left")
     eigs, qz_index = qz_canonical(p.E, p.A, p.pol)
+    sweep = _Sweep(p)
+    token = _SHARED_SWEEP.set(sweep)
+    try:
+        # the D certificates' prerequisites are decided before the sweep,
+        # so that only the grids of certificates that hold are swept
+        d_wanted = []
+        if omega is not None:
+            diss = check_left_dissipativity(p, omega)
+            d1_failure = _D1_failure(p, omega, diss)
+            d2_prerequisites = _D2_prerequisites(p, omega)
+            for k, failure in ((1, d1_failure), (2, d2_prerequisites[0])):
+                name = None if failure else sweep.restriction(k, omega, "left")
+                if name is not None:
+                    d_wanted += _Dk_wanted(LambdaGrid.default(omega=omega),
+                                           name, "left")
+        on_grid = set(grid.points.tolist())
+        sweep.run(_on_grid(grid, "left", "right", "R")
+                  + [w for w in d_wanted if w[0] in on_grid])
+        g_left = estimate_G_index(p, grid, side="left")
+        g_right = estimate_G_index(p, grid, side="right")
+        r_cert = estimate_R_index(p, grid)
 
-    violations = []
-    # G_k => R_k^w: the R-estimate cannot exceed the G-estimate's k
-    if g_left.verdict == "holds" and r_cert.verdict == "holds":
-        if r_cert.k > g_left.k:
-            violations.append(
-                f"G_{g_left.k} holds but weak R_{g_left.k} fails "
-                f"(R-index {r_cert.k})")
-        # R_k^w => G_{k+1} and not G_{k-1}
-        if g_left.k > r_cert.k + 1 or g_left.k < r_cert.k:
-            violations.append(
-                f"R-index {r_cert.k} incompatible with G-index {g_left.k}")
-    # bounded-A case: R_k => D_k
-    if r_cert.verdict == "holds" and r_cert.k >= 1:
-        omega = _safe_omega(eigs)
-        d_cert = check_Dk(p, r_cert.k, LambdaGrid.default(omega=omega),
-                          side="left")
-        if d_cert.verdict == "fails":
-            violations.append(
-                f"R_{r_cert.k} holds but D_{r_cert.k} fails at "
-                f"omega={omega:.3f}")
-    else:
+        violations = []
+        # G_k => R_k^w: the R-estimate cannot exceed the G-estimate's k
+        if g_left.verdict == "holds" and r_cert.verdict == "holds":
+            if r_cert.k > g_left.k:
+                violations.append(
+                    f"G_{g_left.k} holds but weak R_{g_left.k} fails "
+                    f"(R-index {r_cert.k})")
+            # R_k^w => G_{k+1} and not G_{k-1}
+            if g_left.k > r_cert.k + 1 or g_left.k < r_cert.k:
+                violations.append(
+                    f"R-index {r_cert.k} incompatible with G-index {g_left.k}")
+        # bounded-A case: R_k => D_k
+        d_check_grid = None
+        if r_cert.verdict == "holds" and r_cert.k >= 1:
+            d_check_grid = LambdaGrid.default(omega=_safe_omega(eigs))
+            name = sweep.restriction(r_cert.k, d_check_grid.omega, "left")
+            if name is not None:
+                d_wanted += _Dk_wanted(d_check_grid, name, "left")
+        sweep.run(d_wanted)
         d_cert = None
+        if d_check_grid is not None:
+            d_cert = check_Dk(p, r_cert.k, d_check_grid, side="left")
+            if d_cert.verdict == "fails":
+                violations.append(
+                    f"R_{r_cert.k} holds but D_{r_cert.k} fails at "
+                    f"omega={d_cert.omega:.3f}")
 
-    report = {
-        "G_index_left": g_left,
-        "G_index_right": g_right,
-        "R_index": r_cert,
-        "Rw_index": r_cert.k if r_cert.verdict == "holds" else None,
-        "D_check": d_cert,
-        "tractability_index": chain_obj.index,
-        "wong_stabilization": wong.stabilization_k,
-        "wong_mu": mu,
-        "wong_chain": wong,
-        "qz_index": qz_index,
-        "qz_eigenvalues": eigs,
-        "violations": violations,
-    }
+        report = {
+            "G_index_left": g_left,
+            "G_index_right": g_right,
+            "R_index": r_cert,
+            "Rw_index": r_cert.k if r_cert.verdict == "holds" else None,
+            "D_check": d_cert,
+            "tractability_index": chain_obj.index,
+            "wong_stabilization": wong.stabilization_k,
+            "wong_mu": mu,
+            "wong_chain": wong,
+            "qz_index": qz_index,
+            "qz_eigenvalues": eigs,
+            "violations": violations,
+        }
+        if omega is not None:
+            report["dissipativity"] = diss
+            report["D1_certificate"] = _D1_certificate(p, omega, d1_failure)
+            report["D2_certificate"] = _D2_certificate(p, omega,
+                                                       d2_prerequisites)
+    finally:
+        _SHARED_SWEEP.reset(token)
     return report
 
 

@@ -80,8 +80,26 @@ class MatrixPencil:
     def is_square(self) -> bool:
         return self.E.shape[0] == self.E.shape[1]
 
+    # E and A are never reassigned after construction, so their spectral
+    # norms and real parts are computed once, on first use
+    @cached_property
+    def norm_E(self) -> float:
+        return np.linalg.norm(self.E, 2)
+
+    @cached_property
+    def norm_A(self) -> float:
+        return np.linalg.norm(self.A, 2)
+
+    @cached_property
+    def real_E(self):
+        """E as a float64 array when neither E nor A has an imaginary part,
+        else None."""
+        if np.any(self.E.imag) or np.any(self.A.imag):
+            return None
+        return np.ascontiguousarray(self.E.real)
+
     def norm_scale(self) -> float:
-        return max(np.linalg.norm(self.E, 2), np.linalg.norm(self.A, 2), 1.0)
+        return max(self.norm_E, self.norm_A, 1.0)
 
     def __repr__(self):
         return f"MatrixPencil(shape={self.shape}, regular={self.regular})"
@@ -162,6 +180,19 @@ def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
         raise ValueError("resolvent_at requires a square pencil")
     m = lam * p.E - p.A
     return ResolventSample(lam=lam, inverse=_certified_inverse(m, lam))
+
+
+def _sweep_resolvent(p: MatrixPencil, lam: float):
+    """(E, (lam E - A)^-1) at a real lam of a lambda sweep.
+
+    When E and A are real, lam E - A is formed and inverted in float64 and
+    E is returned as float64, so every product and norm taken from the pair
+    stays real; otherwise the pair is resolvent_at's complex inverse with
+    p.E.  Both go through the same certified-inverse gate.
+    """
+    if p.is_square and p.real_E is not None:
+        return p.real_E, _certified_inverse(lam * p.real_E - p.A.real, lam)
+    return p.E, resolvent_at(p, lam).inverse
 
 
 def _shifted_inverse(p: MatrixPencil, lam: complex) -> np.ndarray:

@@ -339,8 +339,7 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
 
     xinf = float(np.max(np.linalg.norm(x, axis=0)))
     finf = float(np.max(np.linalg.norm(fv, axis=0)))
-    scale = (1.0 + np.linalg.norm(p.E, 2) * xinf
-             + np.linalg.norm(p.A, 2) * xinf + finf)
+    scale = 1.0 + p.norm_E * xinf + p.norm_A * xinf + finf
 
     # one expression, so no n x N temporary outlives it
     classical = float(np.max(np.linalg.norm(

@@ -4,6 +4,7 @@ import scipy.linalg as spla
 
 from conftest import N2, random_regular_pencil, random_index_pencil
 from adae.chains import (
+    StaircaseForm,
     build_chain,
     build_staircase,
     check_decomposition,
@@ -11,7 +12,12 @@ from adae.chains import (
     staircase_from_chain,
     y_impli_check,
 )
-from adae.exceptions import AdaeError, ChainNotStabilized, NotInResolventSet
+from adae.exceptions import (
+    AdaeError,
+    ChainNotStabilized,
+    NotInResolventSet,
+    PatternViolation,
+)
 from adae.models import (
     RLCConfig,
     WeierstrassSpec,
@@ -180,6 +186,36 @@ def test_staircase_pattern_random():
                 assert st.pattern_residual(lam) < 1e-10
             except NotInResolventSet:
                 pass
+
+
+def test_pattern_bound_keeps_decisions_and_text(monkeypatch):
+    # the pattern check accepts a lambda on a Frobenius bound when it can;
+    # the bound is never below the exact residual, and with the exact
+    # 2-norms alone the check accepts and rejects the same chains with the
+    # same PatternViolation text
+    p = random_index_pencil(702, 2, n_ode=3)
+    chain = build_chain(p, 0.4)
+    other = random_index_pencil(703, 2, n_ode=3)  # the chain does not fit it
+    st = staircase_from_chain(p, chain)
+    for lam in (1.5, -2.0 + 1j, 8.0 + 3j):
+        T = st.transform(lam)
+        assert st._residual_bound(T) >= st._exact_residual(T)
+        assert st._exact_residual(T) == st.pattern_residual(lam)
+
+    def outcomes():
+        out = []
+        for q in (p, other):
+            try:
+                out.append(staircase_from_chain(q, chain).block_sizes)
+            except PatternViolation as exc:
+                out.append(str(exc))
+        return out
+
+    fast = outcomes()
+    assert fast[0] == st.block_sizes and "zero-block residual" in fast[1]
+    monkeypatch.setattr(StaircaseForm, "_residual_bound",
+                        lambda self, T: np.inf)
+    assert outcomes() == fast
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -6,6 +6,7 @@ import scipy.linalg as spla
 
 import adae.chains
 import adae.growth
+import adae.pencil
 import adae.solver
 from adae.cli import main
 from adae.io import read_trajectory_csv, write_pencil_json
@@ -71,6 +72,18 @@ def test_analyze_factors_once(tmp_path, monkeypatch):
     assert counts == {"ordqz": 1, "_pick_mu": 1, "build_chain": 1}
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["wong_stabilization"] == len(rep["wong_V_dims"]) - 2 == 1
+
+
+def test_analyze_heat_wave_inverts_once_per_lambda(tmp_path, monkeypatch):
+    # one report sweep: 72 distinct lambda on the G/R and D grids (24 of the
+    # D points lie on the G/R grid), the Wong chain at mu, the D2
+    # restriction space at omega = 0 and the staircase's 3 pattern checks
+    counts = {}
+    _count(monkeypatch, counts, "_certified_inverse", adae.pencil)
+    code = main(["analyze", "--model", "heat-wave", "--m", "10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert counts["_certified_inverse"] <= 77
 
 
 def test_solve_factors_once(tmp_path, monkeypatch):

@@ -22,8 +22,13 @@ from adae.growth import (
     _pick_mu,
     _safe_omega,
 )
-from adae.models import HeatWaveConfig, heat_wave_pencil
-from adae.pencil import MatrixPencil, pseudo_resolvent, resolvent_at
+from adae.models import HeatWaveConfig, RLCConfig, heat_wave_pencil, rlc_pencil
+from adae.pencil import (
+    MatrixPencil,
+    _sweep_resolvent,
+    pseudo_resolvent,
+    resolvent_at,
+)
 
 N3 = np.eye(3, k=1)
 SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -204,19 +209,29 @@ def _sweep_reference(p, grid, kind):
     return out
 
 
+def _assert_norms(got, want, p):
+    # a complex pencil is swept in complex128 like the definition, bitwise;
+    # a real one in float64, which rounds differently
+    if p.real_E is None:
+        assert got == want
+    else:
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("lam_max", [1e4, 1e8])
 def test_report_matches_separate_estimates(lam_max):
-    # the fused G/R sweep of index_comparison_report gives, field for field
+    # the fused sweep of index_comparison_report gives, field for field
     # and bitwise, the certificates and grid-shrink warnings of separate
-    # estimate_G_index / estimate_R_index / check_Dk calls; its evidence
-    # norms are those of the pseudo-resolvents and (lam E - A)^-1 each
-    # inverted on its own
+    # estimate_G_index / estimate_R_index / check_Dk / certify_D1 /
+    # certify_D2 calls; its evidence norms are those of the
+    # pseudo-resolvents and (lam E - A)^-1 each inverted on its own
+    # (bitwise for a complex pencil, within 1e-12 for a real one)
     grid = LambdaGrid.default(lam_max=lam_max)
     shrunk = 0
     for p in _growth_corpus(grid):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            rep = index_comparison_report(p, grid)
+            rep = index_comparison_report(p, grid, omega=0.0)
         got_warn = _growth_warnings(rec)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
@@ -230,6 +245,9 @@ def test_report_matches_separate_estimates(lam_max):
                     p, r.k, LambdaGrid.default(omega=omega), side="left")
             else:
                 want["D_check"] = None
+            want["dissipativity"] = check_left_dissipativity(p, 0.0)
+            want["D1_certificate"] = certify_D1(p, 0.0)
+            want["D2_certificate"] = certify_D2(p, 0.0)
         assert got_warn == _growth_warnings(rec)
         shrunk += bool(got_warn)
         for key, cert in want.items():
@@ -243,13 +261,13 @@ def test_report_matches_separate_estimates(lam_max):
                 warnings.simplefilter("ignore")
                 ref = _sweep_reference(p, grid, kind)
             if len(ref) >= 4:
-                assert [v for _, v in rep[key].evidence] == ref
+                _assert_norms([v for _, v in rep[key].evidence], ref, p)
     assert shrunk >= 1
 
 
 def test_Dk_first_order_uses_sweep_norms():
     # at k = 1 the restricted resolvent is R(lam) itself: evidence and the
-    # vanishing-test scale come from the sweep, bitwise
+    # vanishing-test scale come from the sweep (real pencils: in float64)
     grid = LambdaGrid.default(omega=0.5)
     for p in (_shrink_pencil(grid), heat_wave_pencil(HeatWaveConfig(m=10))):
         with warnings.catch_warnings():
@@ -257,7 +275,7 @@ def test_Dk_first_order_uses_sweep_norms():
             cert = check_Dk(p, 1, grid)
         ref = [(lam - 0.5) * np.linalg.norm(pseudo_resolvent(p, lam, "left"), 2)
                for lam, _ in cert.evidence]
-        assert [v for _, v in cert.evidence] == ref
+        _assert_norms([v for _, v in cert.evidence], ref, p)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -273,22 +291,124 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_report_factorization_counts(monkeypatch):
-    # one QZ per report, and one certified inverse per grid point for the
-    # G-left, G-right and R estimates together
+    # one QZ per report, and one certified inverse per distinct lambda of
+    # every grid of the report together: the G/R grid, the D_check grid and
+    # the D1 grid (which share their points), plus the Wong chain's at mu
     p = random_index_pencil(1001, 1)
-    grid = LambdaGrid.default()
+    grid = LambdaGrid.default(lam_max=1e8)
     want_mu = _pick_mu(p)
     qz = _count_calls(monkeypatch, spla, "ordqz")
     inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
-    sweep = _count_calls(monkeypatch, adae.growth, "resolvent_at")
     mu = _count_calls(monkeypatch, adae.growth, "_pick_mu")
     chain = _count_calls(monkeypatch, adae.growth, "build_chain")
-    rep = index_comparison_report(p, grid)
+    rep = index_comparison_report(p, grid, omega=0.0)
     assert rep["D_check"] is not None  # R_1 holds: check_Dk ran too
+    assert rep["D1_certificate"].verdict == "holds"  # D1 swept its grid
     assert len(qz) == 1
-    assert len(sweep) == len(grid.points)
-    # sweep + D_1 check (a grid of the same length) + Wong chain at mu
-    assert len(inv) <= 2 * len(grid.points) + 1
+    lams = [float(args[1]) for args in inv]
+    assert len(lams) == len(set(lams))
+    d_grid = LambdaGrid.default(omega=rep["D_check"].omega).points
+    assert set(lams) == set(grid.points) | set(d_grid) | {want_mu}
+    assert len(lams) == 72 + 1
     assert len(mu) == 1 and len(chain) == 1
     assert rep["wong_mu"] == want_mu
     assert rep["wong_chain"].stabilization_k == rep["wong_stabilization"]
+
+
+def _rlc12():
+    return rlc_pencil(RLCConfig(m=12)).companion
+
+
+def _random_real_pencil():
+    rng = np.random.default_rng(11)
+    return MatrixPencil(rng.standard_normal((9, 9)), rng.standard_normal((9, 9)))
+
+
+def _report_floats(rep):
+    """The certificates and integers of a report, as plain data."""
+    out = {}
+    for key, val in rep.items():
+        if isinstance(val, adae.growth.GrowthCertificate):
+            out[key] = val.to_dict()
+        elif val is None or isinstance(val, (int, list)):
+            out[key] = val
+    return out
+
+
+def _assert_close(got, want, rtol, path="report"):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], rtol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for j, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, rtol, f"{path}[{j}]")
+    elif isinstance(want, float):
+        assert type(got) is float, path
+        assert got == want or abs(got - want) <= rtol * max(abs(got), abs(want)), \
+            f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, path
+
+
+CLI_GRID = LambdaGrid(points=np.logspace(0, 8, 48))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: heat_wave_pencil(HeatWaveConfig(m=10)),
+    lambda: heat_wave_pencil(HeatWaveConfig(m=25)),
+    _rlc12,
+    _random_real_pencil,
+    lambda: _shrink_pencil(CLI_GRID),
+], ids=["heat-wave-10", "heat-wave-25", "rlc-12", "random-real", "shrink"])
+def test_real_sweep_matches_complex_path(make, monkeypatch):
+    # real pencils are swept in float64; forcing them down the complex
+    # path changes no k, verdict or violation, and every M and evidence
+    # value by at most 1e-12 relative
+    grid = CLI_GRID
+    p = make()
+    assert p.real_E is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        real = _report_floats(index_comparison_report(p, grid, omega=0.0))
+        monkeypatch.setattr(MatrixPencil, "real_E", property(lambda _: None))
+        cplx = _report_floats(index_comparison_report(make(), grid, omega=0.0))
+    _assert_close(real, cplx, 1e-12)
+
+
+def test_sweep_dispatch():
+    # a complex pencil gets resolvent_at's complex inverse bit for bit; a
+    # real pencil gets the same inverse in float64
+    real = heat_wave_pencil(HeatWaveConfig(m=4))
+    cplx = random_index_pencil(1001, 1)
+    assert real.real_E is not None and cplx.real_E is None
+    E, inv = _sweep_resolvent(cplx, 2.5)
+    assert E is cplx.E and inv.dtype == complex
+    assert np.array_equal(inv, resolvent_at(cplx, 2.5).inverse)
+    E, inv = _sweep_resolvent(real, 2.5)
+    assert E.dtype == inv.dtype == float and np.array_equal(E, real.E.real)
+    ref = resolvent_at(real, 2.5).inverse
+    assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a complex pencil's sweep norms are those of resolvent_at, bitwise
+    grid = LambdaGrid.default()
+    cert = estimate_R_index(cplx, grid)
+    assert [v for _, v in cert.evidence] == [
+        np.linalg.norm(resolvent_at(cplx, lam).inverse, 2) for lam in grid.points]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: heat_wave_pencil(HeatWaveConfig(m=10)),
+    lambda: random_index_pencil(1001, 1),
+], ids=["heat-wave-10", "complex-index-1"])
+def test_D1_norm_is_G_left_norm_at_shared_lambda(make):
+    # the D_1 check takes ||R_l(lam)|| from the G-left sweep where the two
+    # grids share a lambda: the values agree bitwise there
+    grid = LambdaGrid(points=np.logspace(0, 8, 48))
+    rep = index_comparison_report(make(), grid, omega=0.0)
+    left = dict(rep["G_index_left"].evidence)
+    d = rep["D_check"]
+    assert d.k == 1
+    shared = [(lam, v) for lam, v in d.evidence if lam in left]
+    assert len(shared) == 24
+    assert all(v == (lam - d.omega) * left[lam] for lam, v in shared)

@@ -1,4 +1,5 @@
-"""Import hygiene of the package source, by an AST scan of src/adae."""
+"""Import hygiene of the package source, and pencils that stay as built, by
+an AST scan of src/adae."""
 
 import ast
 import pathlib
@@ -59,6 +60,29 @@ def test_no_unused_module_imports(path):
               if isinstance(node, (ast.Import, ast.ImportFrom))
               for name in _imported_names(node) if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_pencil_matrices_never_reassigned():
+    # MatrixPencil caches ||E||_2, ||A||_2 and the real parts of E and A, so
+    # .E and .A are bound once, in MatrixPencil.__init__, and never again
+    bound = []
+    for path in MODULES:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr in ("E", "A"):
+                        bound.append((path.name, t.lineno))
+    cls = next(node for node in _tree(SRC / "pencil.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "MatrixPencil")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    outside = [site for site in bound if site[0] != "pencil.py"
+               or not init.lineno <= site[1] <= init.end_lineno]
+    assert len(bound) == 2 and not outside, bound
 
 
 def test_scan_sees_the_package():

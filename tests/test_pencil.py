@@ -38,6 +38,24 @@ def test_regularity_flag():
     assert not MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))).regular
 
 
+def test_norms_and_real_E_cached():
+    # computed once per pencil, with the values of the direct computation
+    rng = np.random.default_rng(5)
+    cplx = random_regular_pencil(rng, 6)
+    real = MatrixPencil(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+    for p in (cplx, real):
+        assert p.norm_E == np.linalg.norm(p.E, 2)
+        assert p.norm_A == np.linalg.norm(p.A, 2)
+        assert p.norm_scale() == max(np.linalg.norm(p.E, 2),
+                                     np.linalg.norm(p.A, 2), 1.0)
+        assert p.norm_E is p.norm_E
+    assert cplx.real_E is None
+    assert MatrixPencil(real.E.real, cplx.A).real_E is None
+    E = real.real_E
+    assert E.dtype == float and E.flags.c_contiguous
+    assert np.array_equal(E, real.E) and real.real_E is E
+
+
 def test_resolvent_at_diagonal(ode_pencil):
     r = resolvent_at(ode_pencil, 0.0)
     assert np.allclose(r.inverse, np.diag([1.0, 0.5]))
