@@ -26,12 +26,14 @@ from .exceptions import (
 )
 from .numerics import (
     Subspace,
+    norm2,
     null_basis,
     orthonormal_complement,
     range_basis,
     rank_with_tol,
     subspace_distance,
     subspace_intersection,
+    svdvals,
 )
 from .pencil import (
     _BOUND_MARGIN,
@@ -134,7 +136,7 @@ def check_decomposition(chain: SubspaceChain, pol=None):
         return False, 0.0
     if Vk.dim == 0 or Wk.dim == 0:
         return True, 1.0
-    cosines = spla.svdvals(Vk.basis.conj().T @ Wk.basis)
+    cosines = svdvals(Vk.basis.conj().T @ Wk.basis)
     cos_max = min(float(cosines[0]), 1.0)
     gap = float(np.sqrt(max(0.0, 1.0 - cos_max ** 2)))
     tol = 1e-8 if pol is None else pol.subspace_tol
@@ -192,13 +194,13 @@ class StaircaseForm:
         return self._exact_residual(self.transform(lam))
 
     def _exact_residual(self, T):
-        worst = max((float(np.linalg.norm(blk, 2))
-                     for blk in self._zero_blocks(T)), default=0.0)
-        return worst / max(np.linalg.norm(T, 2), 1.0)
+        worst = max((norm2(blk) for blk in self._zero_blocks(T)),
+                    default=0.0)
+        return worst / max(norm2(T), 1.0)
 
     def _residual_bound(self, T):
-        """An upper bound on pattern_residual that needs no SVD: Frobenius
-        norms of the blocks over a lower bound on max(||T||_2, 1)."""
+        """An upper bound on pattern_residual that needs no eigensolve:
+        Frobenius norms of the blocks over a lower bound on max(||T||_2, 1)."""
         worst = max((np.linalg.norm(blk, "fro")
                      for blk in self._zero_blocks(T)), default=0.0)
         return worst and worst / max(_norm2_lower(T), 1.0)
@@ -270,9 +272,9 @@ def compressed_inverse(p: MatrixPencil, chain: SubspaceChain) -> np.ndarray:
     R = chain.R
     Q = chain.V[chain.stabilization_k].basis
     S = Q.conj().T @ R @ Q
-    svals = spla.svdvals(S)  # empty when V_k = {0}
+    svals = svdvals(S)  # empty when V_k = {0}
     if svals.size and svals[-1] <= (p.pol.rank_rel_tol
-                                     * max(np.linalg.norm(R, 2), 1.0) * len(S)):
+                                     * max(norm2(R), 1.0) * len(S)):
         raise NotInjectiveOnVk(
             f"compressed R(mu) has min singular value {svals[-1]:.3e}")
     return spla.inv(S)

@@ -5,13 +5,13 @@ violation in an analysis report, 3 insufficient forcing smoothness.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 
 import numpy as np
-import scipy.linalg as spla
 
 from .chains import staircase_from_chain, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
@@ -32,11 +32,14 @@ from .models import (
     rlc_pencil,
     weierstrass_pencil,
 )
-from .numerics import TolerancePolicy
+from .numerics import TolerancePolicy, svdvals
 from .solver import implicit_euler_reference, solve_decoupled, solve_homogeneous
 
 
+@functools.cache
 def _build_parser():
+    # argparse keeps no state between parse_args calls, so one parser per
+    # process serves every command
     ap = argparse.ArgumentParser(
         prog="adae",
         description="Analyze and solve linear DAEs d/dt Ex = Ax + f "
@@ -293,7 +296,7 @@ def _demo_rlc(args):
         "model": "rlc",
         "m": args.m,
         "lossless": bool(args.lossless),
-        "min_singular_A": float(spla.svdvals(p.A)[-1]),
+        "min_singular_A": float(svdvals(p.A)[-1]),
         "energy_drift": float(np.max(np.abs(energy - energy[0])))
         if args.lossless else None,
         "correction_norm": rep.correction_norm,

@@ -23,11 +23,14 @@ from .chains import build_chain
 from .exceptions import ChainStalled, NotInResolventSet
 from .numerics import (
     Subspace,
+    norm2,
     null_basis,
     qz_canonical,
     range_basis,
     rank_with_tol,
     subspace_intersection,
+    svd,
+    svdvals,
 )
 from .pencil import MatrixPencil, _sweep_resolvent, pseudo_resolvent
 
@@ -103,14 +106,17 @@ class _Sweep:
     `run` computes the norms asked for one lambda at a time, in ascending
     order, and keeps the norms, not the inverse.  A lambda outside the
     resolvent set is recorded in `failed`; on every grid it drops the points
-    below it.
+    below it.  `at` holds R_side(omega) by
+    (omega, side) for the restrictions, each computed once, and may be
+    given some already known.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, at=None):
         self.p = p
         self.bases = []
         self.values = {}  # lambda -> {name: norm}
         self.failed = set()
+        self.at = dict(at or {})
         self._restrictions = {}  # (k, omega, side) -> name or None
 
     def restriction(self, k, omega, side):
@@ -118,7 +124,13 @@ class _Sweep:
         ran R(omega)^(k-1), or None when that space is trivial."""
         key = (k, omega, side)
         if key not in self._restrictions:
-            Q = _ran_R_power(self.p, omega, k - 1, side)
+            n = self.p.E.shape[0] if side == "left" else self.p.n
+            Q = Subspace.full(n)
+            if k > 1:
+                if (omega, side) not in self.at:
+                    self.at[omega, side] = pseudo_resolvent(self.p, omega,
+                                                            side)
+                Q = _ran_power(self.at[omega, side], k - 1, self.p.pol)
             if Q.dim == 0:
                 name = None
             elif k == 1:  # the whole space
@@ -131,8 +143,8 @@ class _Sweep:
                     # imaginary parts of the basis span the same space:
                     # restrict to a real orthonormal basis of it, so that
                     # real sweeps stay real
-                    u = np.linalg.svd(np.hstack([basis.real, basis.imag]),
-                                      full_matrices=False)[0]
+                    u = svd(np.hstack([basis.real, basis.imag]),
+                            full_matrices=False)[0]
                     basis = u[:, :Q.dim]
                 self.bases.append(basis)
                 name = side, len(self.bases) - 1
@@ -164,7 +176,7 @@ class _Sweep:
                     if side not in sides:
                         sides[side] = E @ (-res) if side == "left" else (-res) @ E
                     m = sides[side] if j is None else sides[side] @ self.bases[j]
-                vals[name] = np.linalg.norm(m, 2)
+                vals[name] = norm2(m)
 
     def kept(self, grid, name):
         """The points of `grid` above its highest failing lambda, their norms
@@ -200,13 +212,18 @@ def _warn_shrunk(failed_at, kept):
             f"grid shrunk to {kept} points above it")
 
 
+def _top_decades(lams):
+    """Mask of the points of the ascending `lams` in its top two decades."""
+    return lams >= lams[-1] / 100.0
+
+
 def _slope_fit(lams, norms):
     """Log-log slope over the top two decades; returns (slope, max residual).
 
     Points with essentially zero norm are treated as an identically vanishing
     tail (slope -inf sentinel).
     """
-    top = lams >= lams[-1] / 100.0
+    top = _top_decades(lams)
     ls, ns = lams[top], norms[top]
     tiny = 1e-300
     if np.all(ns < 1e-150):
@@ -227,9 +244,15 @@ def _index_estimate(p, grid, name):
     sweep.run(_on_grid(grid, name))
     lams, norms, failed_at = sweep.kept(grid, name)
     _warn_shrunk(failed_at, lams.size)
+    return _index_fit(lams, norms, grid.omega, name)
+
+
+def _index_fit(lams, norms, omega, name):
+    """_index_estimate's certificate from the kept points and their norms.
+    Its k and verdict are those of the slope fit over the top two decades."""
     kind, c = ("R", 1) if name == "R" else ("G", 2)
     if lams.size < 4:
-        return GrowthCertificate(kind, 0, grid.omega, np.inf, "inconclusive",
+        return GrowthCertificate(kind, 0, omega, np.inf, "inconclusive",
                                  detail="too few usable grid points")
     slope, resid = _slope_fit(lams, norms)
     if slope == -np.inf:
@@ -239,7 +262,7 @@ def _index_estimate(p, grid, name):
         k = max(0, ceil(slope - 0.1) + c)
         M = float(np.max(lams ** (c - k) * norms))
     verdict = "holds" if resid < 0.2 else "inconclusive"
-    return GrowthCertificate(kind, k, grid.omega, M, verdict,
+    return GrowthCertificate(kind, k, omega, M, verdict,
                              evidence=list(zip(lams, norms)),
                              detail=f"slope {slope:.3f}, fit residual {resid:.3f}")
 
@@ -258,15 +281,11 @@ def estimate_R_index(p: MatrixPencil,
     return _index_estimate(p, grid, "R")
 
 
-def _ran_R_power(p, omega, power, side):
-    """Orthonormal basis of ran R(omega)^power."""
-    n = p.E.shape[0] if side == "left" else p.n
-    sub = Subspace.full(n)
-    if power == 0:
-        return sub
-    R = pseudo_resolvent(p, omega, side)
+def _ran_power(R, power, pol):
+    """Orthonormal basis of ran R^power."""
+    sub = Subspace.full(len(R))
     for _ in range(power):
-        sub = range_basis(R @ sub.basis, p.pol)
+        sub = range_basis(R @ sub.basis, pol)
     return sub
 
 
@@ -397,7 +416,7 @@ def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
 def _D2_prerequisites(p, omega):
     """(why certify_D2 fails at omega or None, M1, M2)."""
     scale = p.norm_E + 1.0
-    if np.linalg.norm(p.E - p.E.conj().T, 2) > p.pol.residual_tol * scale:
+    if norm2(p.E - p.E.conj().T) > p.pol.residual_tol * scale:
         return "E is not self-adjoint", None, None
     eigE = spla.eigvalsh(_herm(p.E)) if p.n else np.array([])
     if eigE.size and eigE[0] < -p.pol.residual_tol * scale:
@@ -409,7 +428,7 @@ def _D2_prerequisites(p, omega):
     failure = _prerequisite_failure(p, omega)
     if failure:
         return failure, None, None
-    svals = spla.svdvals(p.E)
+    svals = svdvals(p.E)
     r = rank_with_tol(p.E, p.pol)
     if r == 0:
         return "E vanishes", None, None
@@ -510,11 +529,12 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
 
     Given `omega`, the report also holds the dissipativity, D1 and D2
     certificates at omega.  The estimators and certificates share one
-    sweep: first the G/R grid, with what the D certificates read at its
-    points, then the rest of the D grids, once the R-index has fixed the
-    D_check restriction.  Each distinct lambda is inverted once, except
-    that a D_check at k >= 2 inverts its points on the G/R grid again for
-    its restricted norms.
+    sweep, which inverts each distinct lambda of its grids once, and takes
+    R(mu) from the Wong chain.  The R-index fixes the D_check restriction,
+    and its k and verdict come from the top two decades of the G/R grid
+    alone, so those are swept first, then every other lambda.  (A G/R grid
+    whose top decades reach into D_check's grid inverts the shared points
+    twice.)
     """
     if grid is None:
         grid = LambdaGrid.default()
@@ -524,7 +544,7 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
     mu = _pick_mu(p)
     wong = build_chain(p, mu, side="left")
     eigs, qz_index = qz_canonical(p.E, p.A, p.pol)
-    sweep = _Sweep(p)
+    sweep = _Sweep(p, at={(mu, "left"): wong.R})
     token = _SHARED_SWEEP.set(sweep)
     try:
         # the D certificates' prerequisites are decided before the sweep,
@@ -539,9 +559,17 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
                 if name is not None:
                     d_wanted += _Dk_wanted(LambdaGrid.default(omega=omega),
                                            name, "left")
-        on_grid = set(grid.points.tolist())
-        sweep.run(_on_grid(grid, "left", "right", "R")
-                  + [w for w in d_wanted if w[0] in on_grid])
+        top = LambdaGrid(grid.points[_top_decades(grid.points)], grid.omega)
+        on_top = set(top.points.tolist())
+        sweep.run(_on_grid(top, "left", "right", "R")
+                  + [w for w in d_wanted if w[0] in on_top])
+        d_check_grid = LambdaGrid.default(omega=_safe_omega(eigs))
+        r_top = _index_fit(*sweep.kept(top, "R")[:2], grid.omega, "R")
+        if r_top.verdict == "holds" and r_top.k >= 1:
+            name = sweep.restriction(r_top.k, d_check_grid.omega, "left")
+            if name is not None:
+                d_wanted += _Dk_wanted(d_check_grid, name, "left")
+        sweep.run(_on_grid(grid, "left", "right", "R") + d_wanted)
         g_left = estimate_G_index(p, grid, side="left")
         g_right = estimate_G_index(p, grid, side="right")
         r_cert = estimate_R_index(p, grid)
@@ -558,15 +586,8 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
                 violations.append(
                     f"R-index {r_cert.k} incompatible with G-index {g_left.k}")
         # bounded-A case: R_k => D_k
-        d_check_grid = None
-        if r_cert.verdict == "holds" and r_cert.k >= 1:
-            d_check_grid = LambdaGrid.default(omega=_safe_omega(eigs))
-            name = sweep.restriction(r_cert.k, d_check_grid.omega, "left")
-            if name is not None:
-                d_wanted += _Dk_wanted(d_check_grid, name, "left")
-        sweep.run(d_wanted)
         d_cert = None
-        if d_check_grid is not None:
+        if r_cert.verdict == "holds" and r_cert.k >= 1:
             d_cert = check_Dk(p, r_cert.k, d_check_grid, side="left")
             if d_cert.verdict == "fails":
                 violations.append(
@@ -602,7 +623,7 @@ def _pick_mu(p, candidates=(0.0, 1.0, 2.37, 5.11, -1.3, 7.9)):
     best, best_s = None, -1.0
     for mu in candidates:
         m = p.A - mu * p.E
-        s = spla.svdvals(m)
+        s = svdvals(m)
         if s.size == 0:
             return 0.0
         if s[-1] > best_s:

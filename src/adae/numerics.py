@@ -3,6 +3,24 @@
 All matrices are dense complex ``numpy`` arrays.  Subspaces are stored as
 orthonormal basis matrices; rank decisions go through a single relative
 threshold so that downstream modules share one notion of "numerically zero".
+
+Every spectral norm and every SVD of the package is taken here:
+
+* ``norm2(X)`` is the square root of the largest eigenvalue of the smaller
+  Gram matrix, ``X^T X`` (one BLAS syrk) for real data and ``X^H X`` for
+  complex data, from the symmetric eigensolver.  Forming X^H X perturbs
+  it by O(n eps) ||X||^2 (by at most n eps |||X|||^2 <= n^2 eps ||X||^2),
+  the eigensolver is backward stable, and lambda_max of a Hermitian matrix
+  moves by no more than the norm of a perturbation; so lambda_max(X^H X),
+  and its square root sigma_max(X), come out to O(n eps) relative
+  accuracy.  Squaring costs accuracy only in the small singular values,
+  which a norm never reads (Golub & Van Loan, Matrix Computations,
+  sec. 8.6; Higham, Accuracy and Stability of Numerical Algorithms,
+  ch. 20).  X is rescaled by max |x_ij| only when the Gram's largest
+  eigenvalue would leave [1e-280, 1e280].
+* ``svdvals``, ``svd``, ``rank_with_tol`` and ``range_basis``/``null_basis``
+  take the SVD of ``a.real`` when a complex-typed ``a`` has no imaginary
+  part: the same factorization up to rounding, in float64 arithmetic.
 """
 
 from dataclasses import dataclass
@@ -16,6 +34,9 @@ __all__ = [
     "TolerancePolicy",
     "Subspace",
     "as_cmatrix",
+    "norm2",
+    "svdvals",
+    "svd",
     "rank_with_tol",
     "range_basis",
     "null_basis",
@@ -87,12 +108,54 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _real_if_real(a):
+    """`a` in float64 when it is complex-typed with no imaginary part."""
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        return np.ascontiguousarray(a.real)
+    return a
+
+
+# the Gram matrix's largest eigenvalue lies in [d, k d] for d its largest
+# diagonal entry and k its order; inside these limits it neither underflows
+# nor overflows
+_GRAM_LO, _GRAM_HI = 1e-280, 1e280
+
+
+def norm2(m) -> float:
+    """Spectral norm ||m||_2, the square root of the largest eigenvalue of
+    the smaller Gram matrix (see the module docstring); 0 on empty input."""
+    a = _real_if_real(np.asarray(m))
+    rows, cols = a.shape
+    if not rows or not cols:
+        return 0.0
+    ah = a.conj().T if np.iscomplexobj(a) else a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
+        gram = ah @ a if rows >= cols else a @ ah
+    d = gram.diagonal().real.max()
+    if _GRAM_LO <= d and d * len(gram) <= _GRAM_HI:
+        return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    s = np.abs(a).max()
+    if not 0.0 < s < np.inf:  # zero, or not finite
+        return float(s)
+    return float(s * norm2(a / s))
+
+
+def svdvals(m) -> np.ndarray:
+    """Singular values of m in descending order."""
+    return spla.svdvals(_real_if_real(np.asarray(m)))
+
+
+def svd(m, full_matrices: bool = True):
+    """(u, s, vh) with m = u diag(s) vh."""
+    return spla.svd(_real_if_real(np.asarray(m)), full_matrices=full_matrices)
+
+
 def rank_with_tol(m, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Numerical rank: count singular values above the relative threshold."""
     a = as_cmatrix(m)
     if a.size == 0:
         return 0
-    s = spla.svdvals(a)
+    s = svdvals(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
     thresh = pol.rank_rel_tol * s[0] * max(a.shape)
@@ -101,7 +164,7 @@ def rank_with_tol(m, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
 
 def _svd_split(m, pol):
     a = as_cmatrix(m)
-    u, s, vh = spla.svd(a, full_matrices=True)
+    u, s, vh = svd(a)
     if s.size == 0 or s[0] == 0.0:
         r = 0
     else:
@@ -127,7 +190,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
     """Gap metric: the largest principal-angle sine between two subspaces.
 
     Computed as the spectral norm of the projector difference; subspaces of
-    unequal dimension are at distance exactly 1, with no SVD.
+    unequal dimension are at distance exactly 1, with no factorization.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
@@ -135,7 +198,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> float:
         return 1.0
     if u.dim == 0:
         return 0.0
-    d = np.linalg.norm(u.projector() - v.projector(), 2)
+    d = norm2(u.projector() - v.projector())
     return float(min(d, 1.0))
 
 
@@ -144,7 +207,7 @@ def inclusion_distance(u: Subspace, v: Subspace) -> float:
     if u.dim == 0:
         return 0.0
     resid = u.basis - v.projector() @ u.basis
-    return float(np.linalg.norm(resid, 2))
+    return norm2(resid)
 
 
 def subspace_intersection(u: Subspace, v: Subspace,
@@ -219,8 +282,8 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     # block.  QZ scatters the infinite eigenvalues of a size-k nilpotent
     # block to magnitude ~ eps^(-1/k) (dimensionless), so the finite/infinite
     # split is a magnitude cutoff, not a beta ~ 0 test; reliable up to k ~ 4.
-    normE = max(np.linalg.norm(E, 2), np.finfo(float).tiny)
-    normA = max(np.linalg.norm(A, 2), np.finfo(float).tiny)
+    normE = max(norm2(E), np.finfo(float).tiny)
+    normA = max(norm2(A), np.finfo(float).tiny)
     cutoff = 1e3
 
     def finite(alpha, beta):
@@ -247,16 +310,16 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     # would mistake that noise for structure.
     S22 = S[n - n_inf:, n - n_inf:]
     T22 = T[n - n_inf:, n - n_inf:]
-    Sinv_norm = np.linalg.norm(spla.solve_triangular(
-        S22, np.eye(n_inf, dtype=complex)), 2)
+    Sinv_norm = norm2(spla.solve_triangular(
+        S22, np.eye(n_inf, dtype=complex)))
     N = np.triu(spla.solve_triangular(S22, T22), 1)
-    floor = 100.0 * n * np.finfo(float).eps * Sinv_norm * np.linalg.norm(T, 2)
-    gain = max(1.0, np.linalg.norm(N, 2))
+    floor = 100.0 * n * np.finfo(float).eps * Sinv_norm * norm2(T)
+    gain = max(1.0, norm2(N))
     idx = 1
     P = N.copy()
     prev = None
     while True:
-        nrm = np.linalg.norm(P, 2)
+        nrm = norm2(P)
         # N^j for j below the nilpotency index keeps O(1) of the previous
         # norm; the first vanishing power collapses to the eps^(1/k) scatter
         # left by QZ, several orders below

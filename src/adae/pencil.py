@@ -13,6 +13,7 @@ Both satisfy the resolvent identity in the form
 which is what `pseudo_resolvent_residual` measures.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,7 @@ from .numerics import (
     Subspace,
     TolerancePolicy,
     as_cmatrix,
+    norm2,
     null_basis,
     probe_regularity,
     range_basis,
@@ -84,11 +86,11 @@ class MatrixPencil:
     # norms and real parts are computed once, on first use
     @cached_property
     def norm_E(self) -> float:
-        return np.linalg.norm(self.E, 2)
+        return norm2(self.E)
 
     @cached_property
     def norm_A(self) -> float:
-        return np.linalg.norm(self.A, 2)
+        return norm2(self.A)
 
     @cached_property
     def real_E(self):
@@ -109,8 +111,8 @@ class MatrixPencil:
 class ResolventSample:
     """(lam*E - A)^-1 together with its conditioning information.
 
-    `min_singular` = 1/||inverse||_2 costs an SVD, so it is computed on
-    first access only.
+    `min_singular` = 1/||inverse||_2 costs an eigensolve, so it is computed
+    on first access only.
     """
 
     lam: complex
@@ -120,7 +122,7 @@ class ResolventSample:
     def min_singular(self) -> float:
         if not self.inverse.shape[0]:
             return np.inf
-        return float(1.0 / np.linalg.norm(self.inverse, 2))
+        return 1.0 / norm2(self.inverse)
 
 
 # Acceptance gate for computed inverses.  A raw condition-number threshold
@@ -134,7 +136,7 @@ _BOUND_MARGIN = 1.0 - 1e-8
 
 
 def _norm2_lower(Y):
-    """Lower bound on ||Y||_2 of a square Y that needs no SVD."""
+    """Lower bound on ||Y||_2 of a square Y that needs no factorization."""
     return max(np.linalg.norm(Y, 1), np.linalg.norm(Y, np.inf),
                np.linalg.norm(Y, "fro")) / np.sqrt(Y.shape[0])
 
@@ -144,7 +146,11 @@ def _certified_inverse(m, lam):
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     try:
-        inv = spla.inv(m)
+        # scipy warns of ill-conditioning by rcond, which the residual gate
+        # below does not go by (see _INV_RESIDUAL_TOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.LinAlgWarning)
+            inv = spla.inv(m)
     except spla.LinAlgError:
         raise NotInResolventSet(lam, "matrix singular to working precision")
     if not np.all(np.isfinite(inv)):
@@ -152,14 +158,14 @@ def _certified_inverse(m, lam):
     X = m @ inv - np.eye(n)
     # a backward-stable inverse satisfies resid <~ n eps ||m|| ||inv|| no
     # matter the conditioning, so reject only clear failures of that bound.
-    # The gate is in exact 2-norms, but each one costs an SVD.  Try it first
-    # with cheap bounds that can only make acceptance harder: an upper bound
-    # on the residual, ||X||_2 <= min(||X||_F, sqrt(||X||_1 ||X||_inf)), and
-    # lower bounds on the floor, ||Y||_2 >= max(||Y||_1, ||Y||_inf, ||Y||_F)
-    # / sqrt(n), shrunk by _BOUND_MARGIN against rounding in the norms (and
-    # not used once they overflow).  What passes them passes the exact gate;
-    # the rest goes to the exact gate, so the decision and the message never
-    # differ from the exact gate's.
+    # The gate is in exact 2-norms, but each one costs an eigensolve.  Try
+    # it first with cheap bounds that can only make acceptance harder: an
+    # upper bound on the residual, ||X||_2 <= min(||X||_F, sqrt(||X||_1
+    # ||X||_inf)), and lower bounds on the floor, ||Y||_2 >= max(||Y||_1,
+    # ||Y||_inf, ||Y||_F) / sqrt(n), shrunk by _BOUND_MARGIN against
+    # rounding in the norms (and not used once they overflow).  What passes
+    # them passes the exact gate; the rest goes to the exact gate, so the
+    # decision and the message never differ from the exact gate's.
     eps_n = n * np.finfo(float).eps
     resid_hi = min(np.linalg.norm(X, "fro"),
                    np.sqrt(np.linalg.norm(X, 1) * np.linalg.norm(X, np.inf)))
@@ -167,8 +173,8 @@ def _certified_inverse(m, lam):
     if (np.isfinite(floor_lo) and resid_hi
             <= _BOUND_MARGIN * max(_INV_RESIDUAL_TOL, 1e3 * floor_lo)):
         return inv
-    resid = np.linalg.norm(X, 2)
-    floor = eps_n * np.linalg.norm(m, 2) * np.linalg.norm(inv, 2)
+    resid = norm2(X)
+    floor = eps_n * norm2(m) * norm2(inv)
     if resid > max(_INV_RESIDUAL_TOL, 1e3 * floor):
         raise NotInResolventSet(lam, f"inversion residual {resid:.3e}")
     return inv
@@ -231,7 +237,7 @@ def pseudo_resolvent_residual(p: MatrixPencil, lam: complex, mu: complex,
     rl = pseudo_resolvent(p, lam, side)
     rm = pseudo_resolvent(p, mu, side)
     defect = (rl - rm) / (lam - mu) - rl @ rm
-    return float(np.linalg.norm(defect, 2))
+    return norm2(defect)
 
 
 class LinearRelation:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chains import RestrictedGenerator, build_chain, restricted_generator
 from .exceptions import HorizonTooShort
-from .numerics import expm
+from .numerics import expm, norm2
 from .pencil import MatrixPencil, pseudo_resolvent
 
 __all__ = [
@@ -68,7 +68,7 @@ def omega_stability_estimate(tr: DegenerateSemigroup, horizon: float = 5.0,
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     ts = np.linspace(horizon / samples, horizon, samples)
-    norms = np.array([np.linalg.norm(evaluate(tr, t), 2) for t in ts])
+    norms = np.array([norm2(evaluate(tr, t)) for t in ts])
     if np.all(norms < 1e-290):
         return -np.inf, 0.0
     coef = np.polyfit(ts, np.log(np.maximum(norms, 1e-300)), 1)
@@ -87,7 +87,7 @@ def laplace_consistency(tr: DegenerateSemigroup, p: MatrixPencil, lam: complex,
     if omega_hat == -np.inf:
         # zero semigroup: both sides vanish on V_k
         target = -pseudo_resolvent(p, lam, tr.gen.side) @ tr.proj_V
-        return float(np.linalg.norm(target, 2))
+        return norm2(target)
     if horizon is None:
         decay = omega_hat - np.real(lam)
         if decay >= 0:
@@ -106,4 +106,4 @@ def laplace_consistency(tr: DegenerateSemigroup, p: MatrixPencil, lam: complex,
         acc += w * np.exp(-lam * t) * evaluate(tr, t)
     # positive orientation: E (lam E - A)^-1 = -E (A - lam E)^-1
     target = -pseudo_resolvent(p, lam, tr.gen.side) @ tr.proj_V
-    return float(np.linalg.norm(acc - target, 2))
+    return norm2(acc - target)

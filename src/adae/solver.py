@@ -32,7 +32,7 @@ from .exceptions import (
 )
 from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .growth import _pick_mu
-from .numerics import expm
+from .numerics import expm, svdvals
 from .pencil import MatrixPencil, _cumulative_trapezoid
 
 __all__ = [
@@ -298,7 +298,7 @@ def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     for attempt in range(4):
         M = p.E - h * p.A
-        s = spla.svdvals(M)
+        s = svdvals(M)
         if s[-1] > p.pol.rank_rel_tol * s[0] * p.n:
             break
         if attempt == 3:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import adae.chains
 import adae.growth
 import adae.pencil
 import adae.solver
-from adae.cli import main
+from adae.cli import _build_parser, main
 from adae.io import read_trajectory_csv, write_pencil_json
 from adae.models import HeatWaveConfig, RLCConfig, heat_wave_pencil, rlc_pencil
 from adae.pencil import MatrixPencil
@@ -84,6 +85,41 @@ def test_analyze_heat_wave_inverts_once_per_lambda(tmp_path, monkeypatch):
                  "--out", str(tmp_path)])
     assert code == 0
     assert counts["_certified_inverse"] <= 77
+
+
+def test_analyze_index3_warns_nothing(tmp_path):
+    # lam E - A of an index-3 pencil is ill-conditioned at large lam; the
+    # residual gate accepts those inverses, and scipy's rcond warning is not
+    # passed on (18 LinAlgWarnings per command before)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--model", "weierstrass", "--index", "3",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert not [w for w in rec if issubclass(w.category, spla.LinAlgWarning)]
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert (rep["qz_index"], rep["wong_stabilization"],
+            rep["tractability_index"]) == (3, 3, 3)
+    assert rep["staircase_block_sizes"] == [2, 1, 1, 1]
+    assert rep["violations"] == []
+
+
+def test_parser_built_once_parses_each_command_alone(tmp_path):
+    ap = _build_parser()
+    assert _build_parser() is ap
+    a = ap.parse_args(["analyze", "--omega", "2", "--m", "7"])
+    b = ap.parse_args(["solve", "--steps", "5"])
+    c = ap.parse_args(["analyze"])
+    assert (a.omega, a.m) == (2.0, 7)
+    assert (b.steps, b.m, b.tf) == (5, 50, 1.0) and not hasattr(b, "omega")
+    assert (c.omega, c.m) == (0.0, 50)
+    small, default = tmp_path / "small", tmp_path / "default"
+    assert main(["generate", "--model", "rlc", "--m", "3",
+                 "--out", str(small)]) == 0
+    assert main(["generate", "--model", "rlc", "--out", str(default)]) == 0
+    rows = [json.loads((d / "pencil.json").read_text())["rows"]
+            for d in (small, default)]
+    assert rows == [8, 102]
 
 
 def test_solve_factors_once(tmp_path, monkeypatch):

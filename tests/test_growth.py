@@ -22,7 +22,15 @@ from adae.growth import (
     _pick_mu,
     _safe_omega,
 )
-from adae.models import HeatWaveConfig, RLCConfig, heat_wave_pencil, rlc_pencil
+from adae.models import (
+    HeatWaveConfig,
+    RLCConfig,
+    WeierstrassSpec,
+    heat_wave_pencil,
+    rlc_pencil,
+    weierstrass_pencil,
+)
+from adae.numerics import norm2
 from adae.pencil import (
     MatrixPencil,
     _sweep_resolvent,
@@ -205,7 +213,7 @@ def _sweep_reference(p, grid, kind):
         except NotInResolventSet:
             out = []
             continue
-        out.append(np.linalg.norm(m, 2))
+        out.append(norm2(m))
     return out
 
 
@@ -315,6 +323,33 @@ def test_report_factorization_counts(monkeypatch):
     assert rep["wong_chain"].stabilization_k == rep["wong_stabilization"]
 
 
+def test_report_inverts_each_lambda_once_at_k_ge_2(monkeypatch):
+    # the CLI's --model weierstrass --index 2 pencil on the CLI grid: the
+    # R-index is fitted on the top two decades first, so D_check's
+    # restricted norms at k = 2 are taken with the other norms, from one
+    # inverse per distinct lambda (R(0) for the restriction is the chain's)
+    p = weierstrass_pencil(WeierstrassSpec((-1.0, -2.0), (2,), 0))[0]
+    grid = LambdaGrid.default(lam_max=1e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
+        rep = index_comparison_report(p, grid, omega=0.0)
+        monkeypatch.undo()
+        r = estimate_R_index(p, grid)
+        d_grid = LambdaGrid.default(omega=_safe_omega(rep["qz_eigenvalues"]))
+        want = {"G_index_left": estimate_G_index(p, grid, side="left"),
+                "G_index_right": estimate_G_index(p, grid, side="right"),
+                "R_index": r,
+                "D_check": check_Dk(p, r.k, d_grid, side="left"),
+                "D2_certificate": certify_D2(p, 0.0)}
+    assert rep["D_check"].k == 2
+    lams = [complex(args[1]) for args in inv]
+    assert len(lams) == len(set(lams))
+    assert set(lams) == set(grid.points) | set(d_grid.points) | {rep["wong_mu"]}
+    for key, cert in want.items():
+        assert rep[key].to_dict() == cert.to_dict()
+
+
 def _rlc12():
     return rlc_pencil(RLCConfig(m=12)).companion
 
@@ -394,7 +429,7 @@ def test_sweep_dispatch():
     grid = LambdaGrid.default()
     cert = estimate_R_index(cplx, grid)
     assert [v for _, v in cert.evidence] == [
-        np.linalg.norm(resolvent_at(cplx, lam).inverse, 2) for lam in grid.points]
+        norm2(resolvent_at(cplx, lam).inverse) for lam in grid.points]
 
 
 @pytest.mark.parametrize("make", [

@@ -8,6 +8,7 @@ from adae.numerics import (
     TolerancePolicy,
     expm,
     inclusion_distance,
+    norm2,
     null_basis,
     orthonormal_complement,
     probe_regularity,
@@ -16,7 +17,44 @@ from adae.numerics import (
     rank_with_tol,
     subspace_distance,
     subspace_intersection,
+    svd,
+    svdvals,
 )
+
+
+@pytest.mark.parametrize("shape", [(63, 40), (64, 64), (90, 130), (200, 150)])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_norm2_large_orders(shape, complex_data):
+    rng = np.random.default_rng(shape[0])
+    x = rng.standard_normal(shape)
+    if complex_data:
+        x = x + 1j * rng.standard_normal(shape)
+    x[:, ::3] *= 1e-6  # a spread of singular values
+    for scale in (1.0, 1e200, 1e-200):
+        want = np.linalg.svd(x * scale, compute_uv=False)[0]
+        assert abs(norm2(x * scale) - want) <= 1e-13 * want
+
+
+def test_norm2_zero_empty_and_real_typed_complex():
+    for shape in ((3, 3), (2, 5), (5, 2), (80, 70)):
+        assert norm2(np.zeros(shape)) == 0.0
+        assert norm2(np.zeros(shape, dtype=complex)) == 0.0
+    assert norm2(np.zeros((0, 4))) == 0.0
+    # complex-typed data with no imaginary part takes the real Gram matrix
+    x = np.random.default_rng(3).standard_normal((7, 4))
+    assert norm2(x.astype(complex)) == norm2(x)
+
+
+def test_svd_of_real_typed_complex_is_real():
+    x = np.random.default_rng(4).standard_normal((6, 4))
+    assert svdvals(x.astype(complex)).dtype == float
+    u, s, vh = svd(x.astype(complex), full_matrices=False)
+    assert u.dtype == vh.dtype == float
+    assert np.array_equal(s, spla.svd(x, full_matrices=False)[1])
+    assert np.array_equal(svdvals(x.astype(complex)), spla.svdvals(x))
+    z = x + 1j * np.random.default_rng(5).standard_normal((6, 4))
+    assert np.allclose(svdvals(z), np.linalg.svd(z, compute_uv=False),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_policy_rejects_bad_tolerances():

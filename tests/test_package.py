@@ -85,5 +85,42 @@ def test_pencil_matrices_never_reassigned():
     assert len(bound) == 2 and not outside, bound
 
 
+def _spectral_call(call):
+    """Is `call` a 2-norm (np.linalg.norm(x, 2) or ord=2) or an svd/svdvals
+    taken through an attribute (np.linalg.svd, spla.svdvals, ...)?"""
+    f = call.func
+    if not isinstance(f, ast.Attribute):
+        return False
+    if f.attr in ("svd", "svdvals"):
+        return True
+    if f.attr != "norm":
+        return False
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
+
+
+def test_spectral_norms_and_svds_only_in_numerics():
+    # numerics.norm2 / svdvals / svd are the one place that takes them
+    bad = []
+    for path in MODULES:
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and _spectral_call(node):
+                bad.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] in ("numpy", "scipy")
+                    and {a.name for a in node.names} & {"svd", "svdvals",
+                                                       "norm"}):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert not bad, f"spectral norms or SVDs outside numerics: {bad}"
+    # the scan sees the forms it forbids
+    calls = [ast.parse(src).body[0].value for src in (
+        "np.linalg.norm(x, 2)", "np.linalg.norm(x, ord=2)",
+        "spla.svdvals(x)", "np.linalg.svd(x)")]
+    assert all(_spectral_call(c) for c in calls)
+    assert not _spectral_call(ast.parse("np.linalg.norm(x)").body[0].value)
+
+
 def test_scan_sees_the_package():
     assert {"chains.py", "cli.py", "solver.py"} <= {p.name for p in MODULES}

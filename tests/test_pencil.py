@@ -6,6 +6,7 @@ import scipy.linalg as spla
 
 from conftest import N2, random_index_pencil, random_regular_pencil
 from adae.exceptions import GridTooCoarse, NotInResolventSet
+from adae.numerics import norm2
 from adae.pencil import (
     _INV_RESIDUAL_TOL,
     _certified_inverse,
@@ -44,10 +45,9 @@ def test_norms_and_real_E_cached():
     cplx = random_regular_pencil(rng, 6)
     real = MatrixPencil(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
     for p in (cplx, real):
-        assert p.norm_E == np.linalg.norm(p.E, 2)
-        assert p.norm_A == np.linalg.norm(p.A, 2)
-        assert p.norm_scale() == max(np.linalg.norm(p.E, 2),
-                                     np.linalg.norm(p.A, 2), 1.0)
+        assert p.norm_E == norm2(p.E)
+        assert p.norm_A == norm2(p.A)
+        assert p.norm_scale() == max(norm2(p.E), norm2(p.A), 1.0)
         assert p.norm_E is p.norm_E
     assert cplx.real_E is None
     assert MatrixPencil(real.E.real, cplx.A).real_E is None
