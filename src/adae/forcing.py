@@ -1,8 +1,8 @@
 """Forcing signals for the DAE solver.
 
 Three kinds: piecewise polynomial (exact derivatives, the preferred path),
-sampled on a uniform grid (4th-order finite-difference derivatives, limited
-smoothness), and callable (user-supplied derivative functions).
+sampled on a uniform grid (finite-difference derivatives at the nearest
+sample, limited smoothness), and callable (user-supplied derivative functions).
 """
 
 import numpy as np
@@ -107,10 +107,14 @@ class PolynomialForcing(ForcingSignal):
 
 
 class SampledForcing(ForcingSignal):
-    """Values on a uniform time grid; derivatives via 4th-order stencils.
+    """Values on a uniform time grid; derivatives by finite differences.
 
-    Only first and second derivatives are trusted, so solves needing higher
-    orders (index >= 3) are refused upstream.
+    A derivative is the stencil's value at the sample nearest to t, so off
+    the grid it is off by O(h).  The stencils are 4th order, except the
+    one-sided second-derivative stencil (2, -5, 4, -1)/h^2 at the two
+    edges, which is 2nd order.  Only first and second derivatives are
+    trusted, so solves needing higher orders (index >= 3) are refused
+    upstream.
     """
 
     kind = "sampled"
@@ -132,7 +136,8 @@ class SampledForcing(ForcingSignal):
 
     def sample(self, ts, order=0):
         """Cubic interpolation through the 4 nearest samples (order 0), or a
-        4th-order stencil around the nearest sample (orders 1 and 2)."""
+        finite-difference stencil at the nearest sample (orders 1 and 2;
+        see the class docstring for their orders of accuracy)."""
         self.require_order(order)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         n = self.times.size
@@ -167,6 +172,7 @@ class SampledForcing(ForcingSignal):
             return out
         out[:, mid] = (-v[:, j + 2] + 16 * v[:, j + 1] - 30 * v[:, j]
                        + 16 * v[:, j - 1] - v[:, j - 2]) / (12 * h * h)
+        # one-sided 2nd-order stencils at the edges
         j = np.minimum(i[left], n - 4)
         out[:, left] = (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
                         - v[:, j + 3]) / (h * h)

@@ -27,12 +27,12 @@ from .numerics import (
     null_basis,
     qz_canonical,
     range_basis,
+    rank_from_svals,
     rank_with_tol,
     subspace_intersection,
-    svd,
     svdvals,
 )
-from .pencil import MatrixPencil, _sweep_resolvent, pseudo_resolvent
+from .pencil import MatrixPencil, pseudo_resolvent, resolvent_at
 
 __all__ = [
     "LambdaGrid",
@@ -136,17 +136,7 @@ class _Sweep:
             elif k == 1:  # the whole space
                 name = side
             else:
-                basis = Q.basis
-                if self.p.real_E is not None:
-                    # the restriction spaces of a real pencil at real omega
-                    # are closed under conjugation, so the real and
-                    # imaginary parts of the basis span the same space:
-                    # restrict to a real orthonormal basis of it, so that
-                    # real sweeps stay real
-                    u = svd(np.hstack([basis.real, basis.imag]),
-                            full_matrices=False)[0]
-                    basis = u[:, :Q.dim]
-                self.bases.append(basis)
+                self.bases.append(Q.basis)
                 name = side, len(self.bases) - 1
             self._restrictions[key] = name
         return self._restrictions[key]
@@ -158,9 +148,10 @@ class _Sweep:
             lam = float(lam)
             if lam not in self.failed and name not in self.values.get(lam, ()):
                 todo.setdefault(lam, {})[name] = None
+        E = self.p.E
         for lam in sorted(todo):
             try:
-                E, res = _sweep_resolvent(self.p, lam)  # (lam E - A)^-1
+                res = resolvent_at(self.p, lam).inverse  # (lam E - A)^-1
             except NotInResolventSet:
                 self.failed.add(lam)
                 continue
@@ -262,9 +253,10 @@ def _index_fit(lams, norms, omega, name):
         k = max(0, ceil(slope - 0.1) + c)
         M = float(np.max(lams ** (c - k) * norms))
     verdict = "holds" if resid < 0.2 else "inconclusive"
+    shown = round(slope, 3) + 0.0  # a slope that rounds to -0.0 reads 0.000
     return GrowthCertificate(kind, k, omega, M, verdict,
                              evidence=list(zip(lams, norms)),
-                             detail=f"slope {slope:.3f}, fit residual {resid:.3f}")
+                             detail=f"slope {shown:.3f}, fit residual {resid:.3f}")
 
 
 def estimate_G_index(p: MatrixPencil, grid: LambdaGrid | None = None,
@@ -429,7 +421,7 @@ def _D2_prerequisites(p, omega):
     if failure:
         return failure, None, None
     svals = svdvals(p.E)
-    r = rank_with_tol(p.E, p.pol)
+    r = rank_from_svals(svals, p.E.shape, p.pol)
     if r == 0:
         return "E vanishes", None, None
     return None, float(svals[0]), float(svals[r - 1])
@@ -472,7 +464,7 @@ def _oblique_projector(onto: Subspace, must_contain: Subspace, pol):
     n = onto.ambient_dim
     r = onto.dim
     if r == 0:
-        return np.zeros((n, n), dtype=complex)
+        return np.zeros((n, n))
     # candidate kernel directions: the given ones, then the orthogonal
     # complement of (onto + must_contain)
     cand = [must_contain.basis] if must_contain.dim else []
@@ -486,7 +478,7 @@ def _oblique_projector(onto: Subspace, must_contain: Subspace, pol):
         raise ChainStalled(
             "kernel extension does not complement the projector range")
     T = np.hstack([onto.basis, K])
-    D = np.zeros((n, n), dtype=complex)
+    D = np.zeros((n, n))
     D[:r, :r] = np.eye(r)
     return T @ D @ spla.inv(T)
 

@@ -1,8 +1,11 @@
-"""Dense complex linear-algebra substrate with an explicit tolerance policy.
+"""Dense linear-algebra substrate with an explicit tolerance policy.
 
-All matrices are dense complex ``numpy`` arrays.  Subspaces are stored as
-orthonormal basis matrices; rank decisions go through a single relative
-threshold so that downstream modules share one notion of "numerically zero".
+All matrices are dense ``numpy`` arrays, float64 or complex128: ``as_matrix``
+makes that choice once, where data enters (float64 when the input has no
+imaginary part), and numpy carries the dtype from there, so a real pencil is
+factored in real arithmetic end to end.  Subspaces are stored as orthonormal
+basis matrices; rank decisions go through a single relative threshold so
+that downstream modules share one notion of "numerically zero".
 
 Every spectral norm and every SVD of the package is taken here:
 
@@ -18,9 +21,6 @@ Every spectral norm and every SVD of the package is taken here:
   sec. 8.6; Higham, Accuracy and Stability of Numerical Algorithms,
   ch. 20).  X is rescaled by max |x_ij| only when the Gram's largest
   eigenvalue would leave [1e-280, 1e280].
-* ``svdvals``, ``svd``, ``rank_with_tol`` and ``range_basis``/``null_basis``
-  take the SVD of ``a.real`` when a complex-typed ``a`` has no imaginary
-  part: the same factorization up to rounding, in float64 arithmetic.
 """
 
 from dataclasses import dataclass
@@ -33,10 +33,11 @@ from .exceptions import SingularPencil
 __all__ = [
     "TolerancePolicy",
     "Subspace",
-    "as_cmatrix",
+    "as_matrix",
     "norm2",
     "svdvals",
     "svd",
+    "rank_from_svals",
     "rank_with_tol",
     "range_basis",
     "null_basis",
@@ -68,9 +69,17 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-def as_cmatrix(m) -> np.ndarray:
-    """Coerce input to a 2-d complex array and reject non-finite entries."""
-    a = np.atleast_2d(np.asarray(m, dtype=complex))
+def as_matrix(m) -> np.ndarray:
+    """Coerce input to a 2-d array, float64 when it has no imaginary part and
+    complex128 otherwise (no copy when it is already so), and reject
+    non-finite entries."""
+    a = np.atleast_2d(np.asarray(m))
+    if not np.iscomplexobj(a):
+        a = np.asarray(a, dtype=float)
+    elif np.any(a.imag):
+        a = np.asarray(a, dtype=complex)
+    else:
+        a = np.ascontiguousarray(a.real, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN/Inf entries")
     return a
@@ -80,7 +89,7 @@ class Subspace:
     """A subspace of C^n stored as a matrix with orthonormal columns."""
 
     def __init__(self, ambient_dim: int, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=complex).reshape(ambient_dim, -1)
+        basis = np.asarray(basis).reshape(ambient_dim, -1)
         self.ambient_dim = int(ambient_dim)
         self.basis = basis
         if basis.shape[1]:
@@ -108,13 +117,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _real_if_real(a):
-    """`a` in float64 when it is complex-typed with no imaginary part."""
-    if np.iscomplexobj(a) and not np.any(a.imag):
-        return np.ascontiguousarray(a.real)
-    return a
-
-
 # the Gram matrix's largest eigenvalue lies in [d, k d] for d its largest
 # diagonal entry and k its order; inside these limits it neither underflows
 # nor overflows
@@ -124,7 +126,7 @@ _GRAM_LO, _GRAM_HI = 1e-280, 1e280
 def norm2(m) -> float:
     """Spectral norm ||m||_2, the square root of the largest eigenvalue of
     the smaller Gram matrix (see the module docstring); 0 on empty input."""
-    a = _real_if_real(np.asarray(m))
+    a = np.asarray(m)
     rows, cols = a.shape
     if not rows or not cols:
         return 0.0
@@ -142,47 +144,42 @@ def norm2(m) -> float:
 
 def svdvals(m) -> np.ndarray:
     """Singular values of m in descending order."""
-    return spla.svdvals(_real_if_real(np.asarray(m)))
+    return spla.svdvals(m)
 
 
 def svd(m, full_matrices: bool = True):
     """(u, s, vh) with m = u diag(s) vh."""
-    return spla.svd(_real_if_real(np.asarray(m)), full_matrices=full_matrices)
+    return spla.svd(m, full_matrices=full_matrices)
+
+
+def rank_from_svals(s, shape, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
+    """Numerical rank of a matrix of `shape` with descending singular values
+    `s`: the count above rank_rel_tol * s[0] * max(shape)."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > pol.rank_rel_tol * s[0] * max(shape)))
 
 
 def rank_with_tol(m, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Numerical rank: count singular values above the relative threshold."""
-    a = as_cmatrix(m)
+    a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = svdvals(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    thresh = pol.rank_rel_tol * s[0] * max(a.shape)
-    return int(np.count_nonzero(s > thresh))
-
-
-def _svd_split(m, pol):
-    a = as_cmatrix(m)
-    u, s, vh = svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > pol.rank_rel_tol * s[0] * max(a.shape)))
-    return u, s, vh, r
+    return rank_from_svals(svdvals(a), a.shape, pol)
 
 
 def range_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Orthonormal basis of the column space of m."""
-    a = as_cmatrix(m)
-    u, _, _, r = _svd_split(a, pol)
-    return Subspace(a.shape[0], u[:, :r])
+    a = as_matrix(m)
+    u, s, _ = svd(a)
+    return Subspace(a.shape[0], u[:, :rank_from_svals(s, a.shape, pol)])
 
 
 def null_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
     """Orthonormal basis of the null space of m."""
-    a = as_cmatrix(m)
-    _, _, vh, r = _svd_split(a, pol)
+    a = as_matrix(m)
+    _, s, vh = svd(a)
+    r = rank_from_svals(s, a.shape, pol)
     return Subspace(a.shape[1], vh[r:, :].conj().T)
 
 
@@ -252,11 +249,11 @@ def probe_regularity(E, A, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 
 def expm(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
-    a = as_cmatrix(m)
+    a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("expm requires a square matrix")
     if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=a.dtype)
     return spla.expm(a)
 
 
@@ -268,8 +265,8 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     i.e. the Kronecker index of the pencil.  Entirely independent of the
     pseudo-resolvent machinery, so usable as a cross-check oracle.
     """
-    E = as_cmatrix(E)
-    A = as_cmatrix(A)
+    E = as_matrix(E)
+    A = as_matrix(A)
     n = E.shape[0]
     if E.shape != A.shape or E.shape[0] != E.shape[1]:
         raise ValueError("qz_canonical requires a square pencil")

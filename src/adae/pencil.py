@@ -25,7 +25,7 @@ from .numerics import (
     DEFAULT_POLICY,
     Subspace,
     TolerancePolicy,
-    as_cmatrix,
+    as_matrix,
     norm2,
     null_basis,
     probe_regularity,
@@ -51,7 +51,8 @@ __all__ = [
 
 
 class MatrixPencil:
-    """Pair (E, A) of complex matrices sharing dimensions.
+    """Pair (E, A) of matrices sharing dimensions and one dtype: float64
+    when neither has an imaginary part, complex128 otherwise.
 
     Square pencils get an eager regularity probe (rank of lam*E - A at
     pseudo-random lambda); rectangular pencils (more rows than columns,
@@ -59,8 +60,10 @@ class MatrixPencil:
     """
 
     def __init__(self, E, A, pol: TolerancePolicy = DEFAULT_POLICY):
-        self.E = as_cmatrix(E)
-        self.A = as_cmatrix(A)
+        E, A = as_matrix(E), as_matrix(A)
+        dtype = np.result_type(E, A)
+        self.E = E.astype(dtype, copy=False)
+        self.A = A.astype(dtype, copy=False)
         if self.E.shape != self.A.shape:
             raise ValueError("E and A must share dimensions")
         if self.E.shape[0] < self.E.shape[1]:
@@ -83,7 +86,7 @@ class MatrixPencil:
         return self.E.shape[0] == self.E.shape[1]
 
     # E and A are never reassigned after construction, so their spectral
-    # norms and real parts are computed once, on first use
+    # norms are computed once, on first use
     @cached_property
     def norm_E(self) -> float:
         return norm2(self.E)
@@ -91,14 +94,6 @@ class MatrixPencil:
     @cached_property
     def norm_A(self) -> float:
         return norm2(self.A)
-
-    @cached_property
-    def real_E(self):
-        """E as a float64 array when neither E nor A has an imaginary part,
-        else None."""
-        if np.any(self.E.imag) or np.any(self.A.imag):
-            return None
-        return np.ascontiguousarray(self.E.real)
 
     def norm_scale(self) -> float:
         return max(self.norm_E, self.norm_A, 1.0)
@@ -144,7 +139,7 @@ def _norm2_lower(Y):
 def _certified_inverse(m, lam):
     n = m.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros_like(m)
     try:
         # scipy warns of ill-conditioning by rcond, which the residual gate
         # below does not go by (see _INV_RESIDUAL_TOL)
@@ -186,19 +181,6 @@ def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
         raise ValueError("resolvent_at requires a square pencil")
     m = lam * p.E - p.A
     return ResolventSample(lam=lam, inverse=_certified_inverse(m, lam))
-
-
-def _sweep_resolvent(p: MatrixPencil, lam: float):
-    """(E, (lam E - A)^-1) at a real lam of a lambda sweep.
-
-    When E and A are real, lam E - A is formed and inverted in float64 and
-    E is returned as float64, so every product and norm taken from the pair
-    stays real; otherwise the pair is resolvent_at's complex inverse with
-    p.E.  Both go through the same certified-inverse gate.
-    """
-    if p.is_square and p.real_E is not None:
-        return p.real_E, _certified_inverse(lam * p.real_E - p.A.real, lam)
-    return p.E, resolvent_at(p, lam).inverse
 
 
 def _shifted_inverse(p: MatrixPencil, lam: complex) -> np.ndarray:

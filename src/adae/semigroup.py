@@ -59,7 +59,7 @@ def evaluate(tr: DegenerateSemigroup, t: float) -> np.ndarray:
     if tr.dim_V == 0:
         n = Q.shape[0]
         return np.zeros((n, n), dtype=complex)
-    return Q @ expm(t * tr.gen.matrix) @ Q.conj().T @ tr.proj_V
+    return Q @ expm(t * tr.gen.matrix) @ Q.conj().T
 
 
 def omega_stability_estimate(tr: DegenerateSemigroup, horizon: float = 5.0,

@@ -5,6 +5,7 @@ import scipy.linalg as spla
 from conftest import N2, random_regular_pencil, random_index_pencil
 from adae.chains import (
     StaircaseForm,
+    SubspaceChain,
     build_chain,
     build_staircase,
     check_decomposition,
@@ -144,6 +145,45 @@ def test_decomposition_orthogonal(diag_pencil):
     ch = build_chain(diag_pencil, 0.0, side="left")
     holds, gap = check_decomposition(ch)
     assert holds and abs(gap - 1.0) < 1e-12
+
+
+def _split_chain(V, W):
+    """A chain stabilized at k = 0 with V_0 = ran V and W_0 = ran W."""
+    n = len(V)
+    return SubspaceChain(mu=0.0, side="left",
+                         V=[Subspace(n, np.linalg.qr(V)[0])],
+                         W=[Subspace(n, np.linalg.qr(W)[0])],
+                         stabilization_k=0)
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_decomposition_sees_a_shared_direction():
+    # two 3-dimensional subspaces of C^6 that share one direction do not
+    # split C^6; the sine of their smallest angle is ~eps, far below
+    # subspace_tol, where sqrt(1 - cos^2) of the largest cosine is not
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        s = _cplx(rng, 6, 1)
+        ch = _split_chain(np.hstack([s, _cplx(rng, 6, 2)]),
+                          np.hstack([s, _cplx(rng, 6, 2)]))
+        holds, gap = check_decomposition(ch)
+        assert not holds and gap < 1e-13, (seed, gap)
+
+
+def test_decomposition_of_random_pairs_holds():
+    # generic pairs of complementary dimensions split C^6, and the gap is
+    # the sine of the smallest principal angle
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 5
+        V, W = _cplx(rng, 6, d), _cplx(rng, 6, 6 - d)
+        holds, gap = check_decomposition(_split_chain(V, W))
+        cos_max = np.linalg.svd(np.linalg.qr(V)[0].conj().T
+                                @ np.linalg.qr(W)[0], compute_uv=False)[0]
+        assert holds and abs(gap - np.sqrt(1.0 - cos_max ** 2)) < 1e-10
 
 
 def test_decomposition_needs_stabilization(n2_pencil):

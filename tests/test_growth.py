@@ -19,6 +19,7 @@ from adae.growth import (
     estimate_R_index,
     index_comparison_report,
     tractability_chain,
+    _index_fit,
     _pick_mu,
     _safe_omega,
 )
@@ -31,12 +32,7 @@ from adae.models import (
     weierstrass_pencil,
 )
 from adae.numerics import norm2
-from adae.pencil import (
-    MatrixPencil,
-    _sweep_resolvent,
-    pseudo_resolvent,
-    resolvent_at,
-)
+from adae.pencil import MatrixPencil, pseudo_resolvent, resolvent_at
 
 N3 = np.eye(3, k=1)
 SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -111,6 +107,24 @@ def test_certify_D1_examples():
     assert c.verdict == "holds"
     c = certify_D1(MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))))
     assert c.verdict == "fails"
+
+
+def test_index_fit_prints_no_negative_zero_slope():
+    # a constant norm, rounded along the grid, fits a slope of a tiny
+    # negative number; it reads 0.000, not -0.000
+    lams = np.logspace(0, 8, 48)
+    norms = 2.0 * (1.0 - 1e-13 * np.arange(48))
+    cert = _index_fit(lams, norms, 0.0, "R")
+    assert cert.k == 1 and cert.verdict == "holds"
+    assert cert.detail.startswith("slope 0.000,"), cert.detail
+
+
+def test_certify_D2_takes_singular_values_of_E_once(monkeypatch):
+    p = heat_wave_pencil(HeatWaveConfig(m=10))
+    calls = _count_calls(monkeypatch, spla, "svdvals")
+    cert = certify_D2(p)
+    assert cert.verdict == "holds"
+    assert sum(np.array_equal(args[0], p.E) for args in calls) == 1
 
 
 def test_certify_D2_examples(semidiss_pencil, n2_pencil):
@@ -217,23 +231,14 @@ def _sweep_reference(p, grid, kind):
     return out
 
 
-def _assert_norms(got, want, p):
-    # a complex pencil is swept in complex128 like the definition, bitwise;
-    # a real one in float64, which rounds differently
-    if p.real_E is None:
-        assert got == want
-    else:
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-
 @pytest.mark.parametrize("lam_max", [1e4, 1e8])
 def test_report_matches_separate_estimates(lam_max):
     # the fused sweep of index_comparison_report gives, field for field
     # and bitwise, the certificates and grid-shrink warnings of separate
     # estimate_G_index / estimate_R_index / check_Dk / certify_D1 /
-    # certify_D2 calls; its evidence norms are those of the
-    # pseudo-resolvents and (lam E - A)^-1 each inverted on its own
-    # (bitwise for a complex pencil, within 1e-12 for a real one)
+    # certify_D2 calls; its evidence norms are, bitwise, those of the
+    # pseudo-resolvents and (lam E - A)^-1 each inverted on its own, in
+    # the pencil's own dtype (float64 for the real ones)
     grid = LambdaGrid.default(lam_max=lam_max)
     shrunk = 0
     for p in _growth_corpus(grid):
@@ -269,13 +274,14 @@ def test_report_matches_separate_estimates(lam_max):
                 warnings.simplefilter("ignore")
                 ref = _sweep_reference(p, grid, kind)
             if len(ref) >= 4:
-                _assert_norms([v for _, v in rep[key].evidence], ref, p)
+                assert [v for _, v in rep[key].evidence] == ref
     assert shrunk >= 1
 
 
 def test_Dk_first_order_uses_sweep_norms():
     # at k = 1 the restricted resolvent is R(lam) itself: evidence and the
-    # vanishing-test scale come from the sweep (real pencils: in float64)
+    # vanishing-test scale come from the sweep (both pencils are real, so
+    # in float64)
     grid = LambdaGrid.default(omega=0.5)
     for p in (_shrink_pencil(grid), heat_wave_pencil(HeatWaveConfig(m=10))):
         with warnings.catch_warnings():
@@ -283,7 +289,8 @@ def test_Dk_first_order_uses_sweep_norms():
             cert = check_Dk(p, 1, grid)
         ref = [(lam - 0.5) * np.linalg.norm(pseudo_resolvent(p, lam, "left"), 2)
                for lam, _ in cert.evidence]
-        _assert_norms([v for _, v in cert.evidence], ref, p)
+        assert np.allclose([v for _, v in cert.evidence], ref,
+                           rtol=1e-12, atol=0.0)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -397,39 +404,38 @@ CLI_GRID = LambdaGrid(points=np.logspace(0, 8, 48))
     _random_real_pencil,
     lambda: _shrink_pencil(CLI_GRID),
 ], ids=["heat-wave-10", "heat-wave-25", "rlc-12", "random-real", "shrink"])
-def test_real_sweep_matches_complex_path(make, monkeypatch):
-    # real pencils are swept in float64; forcing them down the complex
-    # path changes no k, verdict or violation, and every M and evidence
-    # value by at most 1e-12 relative
+def test_real_sweep_matches_complex_path(make):
+    # real pencils are held, and swept, in float64; a copy whose E and A
+    # are complex-typed (the same values in complex128 arithmetic) gets no
+    # other k, verdict or violation, and every M and evidence value within
+    # 1e-12 relative
     grid = CLI_GRID
     p = make()
-    assert p.real_E is not None
+    assert p.E.dtype == p.A.dtype == float
+    q = MatrixPencil(p.E, p.A, p.pol)
+    q.E, q.A = p.E.astype(complex), p.A.astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         real = _report_floats(index_comparison_report(p, grid, omega=0.0))
-        monkeypatch.setattr(MatrixPencil, "real_E", property(lambda _: None))
-        cplx = _report_floats(index_comparison_report(make(), grid, omega=0.0))
+        cplx = _report_floats(index_comparison_report(q, grid, omega=0.0))
     _assert_close(real, cplx, 1e-12)
 
 
 def test_sweep_dispatch():
-    # a complex pencil gets resolvent_at's complex inverse bit for bit; a
-    # real pencil gets the same inverse in float64
+    # every pencil is swept through resolvent_at, in the pencil's own
+    # dtype: float64 for a real pencil, complex128 for a complex one, and
+    # the sweep's norms are those of resolvent_at's inverse, bitwise
     real = heat_wave_pencil(HeatWaveConfig(m=4))
     cplx = random_index_pencil(1001, 1)
-    assert real.real_E is not None and cplx.real_E is None
-    E, inv = _sweep_resolvent(cplx, 2.5)
-    assert E is cplx.E and inv.dtype == complex
-    assert np.array_equal(inv, resolvent_at(cplx, 2.5).inverse)
-    E, inv = _sweep_resolvent(real, 2.5)
-    assert E.dtype == inv.dtype == float and np.array_equal(E, real.E.real)
-    ref = resolvent_at(real, 2.5).inverse
-    assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # a complex pencil's sweep norms are those of resolvent_at, bitwise
+    assert real.E.dtype == real.A.dtype == float
+    assert cplx.E.dtype == cplx.A.dtype == complex
+    assert resolvent_at(real, 2.5).inverse.dtype == float
+    assert resolvent_at(cplx, 2.5).inverse.dtype == complex
     grid = LambdaGrid.default()
-    cert = estimate_R_index(cplx, grid)
-    assert [v for _, v in cert.evidence] == [
-        norm2(resolvent_at(cplx, lam).inverse) for lam in grid.points]
+    for p in (real, cplx):
+        cert = estimate_R_index(p, grid)
+        assert [v for _, v in cert.evidence] == [
+            norm2(resolvent_at(p, lam).inverse) for lam in grid.points]
 
 
 @pytest.mark.parametrize("make", [

@@ -6,6 +6,7 @@ from adae.exceptions import SingularPencil
 from adae.numerics import (
     Subspace,
     TolerancePolicy,
+    as_matrix,
     expm,
     inclusion_distance,
     norm2,
@@ -40,21 +41,37 @@ def test_norm2_zero_empty_and_real_typed_complex():
         assert norm2(np.zeros(shape)) == 0.0
         assert norm2(np.zeros(shape, dtype=complex)) == 0.0
     assert norm2(np.zeros((0, 4))) == 0.0
-    # complex-typed data with no imaginary part takes the real Gram matrix
+    # complex-typed data with no imaginary part has the norm of the real data
     x = np.random.default_rng(3).standard_normal((7, 4))
     assert norm2(x.astype(complex)) == norm2(x)
 
 
-def test_svd_of_real_typed_complex_is_real():
+def test_as_matrix_decides_the_dtype_once():
+    # float64 when the input has no imaginary part, complex128 otherwise,
+    # with no copy when the input already has that dtype
     x = np.random.default_rng(4).standard_normal((6, 4))
-    assert svdvals(x.astype(complex)).dtype == float
-    u, s, vh = svd(x.astype(complex), full_matrices=False)
+    z = x + 1j * np.random.default_rng(5).standard_normal((6, 4))
+    assert as_matrix(x) is x and as_matrix(z) is z
+    xc = as_matrix(x.astype(complex))
+    assert xc.dtype == float and xc.flags.c_contiguous
+    assert np.array_equal(xc, x)
+    assert as_matrix([[1, 2]]).dtype == float
+    assert as_matrix(np.arange(3.0)).shape == (1, 3)
+    with pytest.raises(ValueError):
+        as_matrix([[1.0, np.inf]])
+    # downstream, numpy carries the dtype: the SVDs keep it, and so do
+    # the subspaces built from them
+    assert svdvals(x).dtype == float
+    u, s, vh = svd(x, full_matrices=False)
     assert u.dtype == vh.dtype == float
     assert np.array_equal(s, spla.svd(x, full_matrices=False)[1])
-    assert np.array_equal(svdvals(x.astype(complex)), spla.svdvals(x))
-    z = x + 1j * np.random.default_rng(5).standard_normal((6, 4))
+    assert np.array_equal(svdvals(x), spla.svdvals(x))
+    assert svd(z)[0].dtype == complex
     assert np.allclose(svdvals(z), np.linalg.svd(z, compute_uv=False),
                        rtol=1e-13, atol=0.0)
+    assert range_basis(x.astype(complex)).basis.dtype == float
+    assert null_basis(z.T).basis.dtype == complex
+    assert Subspace.full(3).basis.dtype == float
 
 
 def test_policy_rejects_bad_tolerances():

@@ -1,10 +1,18 @@
 """Import hygiene of the package source, and pencils that stay as built, by
-an AST scan of src/adae."""
+an AST scan of src/adae; and the one real/complex rule, by wrapping the
+LAPACK entry points during real-model commands."""
 
 import ast
+import functools
 import pathlib
+import sys
 
+import numpy as np
 import pytest
+import scipy.linalg as spla
+
+import adae.numerics
+from adae.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "adae"
 MODULES = sorted(SRC.glob("*.py"))
@@ -63,8 +71,8 @@ def test_no_unused_module_imports(path):
 
 
 def test_pencil_matrices_never_reassigned():
-    # MatrixPencil caches ||E||_2, ||A||_2 and the real parts of E and A, so
-    # .E and .A are bound once, in MatrixPencil.__init__, and never again
+    # MatrixPencil caches ||E||_2 and ||A||_2, so .E and .A are bound once,
+    # in MatrixPencil.__init__, and never again
     bound = []
     for path in MODULES:
         tree = _tree(path)
@@ -124,3 +132,54 @@ def test_spectral_norms_and_svds_only_in_numerics():
 
 def test_scan_sees_the_package():
     assert {"chains.py", "cli.py", "solver.py"} <= {p.name for p in MODULES}
+
+
+_LAPACK = [(spla, name) for name in ("inv", "svd", "svdvals", "expm",
+                                     "lu_factor", "eigvalsh")]
+_LAPACK.append((np.linalg, "eigvalsh"))
+
+
+def _in_qz():
+    qz = adae.numerics.qz_canonical.__code__
+    f = sys._getframe(2)
+    while f is not None and f.f_code is not qz:
+        f = f.f_back
+    return f is not None
+
+
+def _watch_lapack(monkeypatch):
+    """Wrap the entry points; returns (calls by name, complex-typed arrays
+    with no imaginary part that reached them outside qz_canonical)."""
+    calls, bad = {}, []
+    for owner, name in _LAPACK:
+        def watched(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            for a in args:
+                if (isinstance(a, np.ndarray) and np.iscomplexobj(a)
+                        and a.size and not np.any(a.imag) and not _in_qz()):
+                    bad.append((_name, a.shape))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, functools.wraps(
+            getattr(owner, name))(watched))
+    return calls, bad
+
+
+def test_real_models_reach_lapack_in_real_arithmetic(tmp_path, monkeypatch):
+    # the real/complex decision is made once, where data enters: the
+    # heat-wave and RLC pencils are real, so no complex-typed array whose
+    # imaginary part is all zero reaches LAPACK, except the QZ oracle's
+    # complex Schur factors
+    calls, bad = _watch_lapack(monkeypatch)
+    spla.inv(np.eye(2, dtype=complex))  # the watch sees such an array
+    assert bad == [("inv", (2, 2))]
+    bad.clear()
+    out = str(tmp_path)
+    for argv in (["analyze", "--model", "heat-wave", "--m", "10"],
+                 ["analyze", "--model", "rlc", "--m", "8"],
+                 ["solve", "--model", "rlc", "--m", "8", "--cross-check"],
+                 ["demo", "heat-wave", "--m", "6", "--steps", "50"],
+                 ["demo", "rlc", "--m", "6", "--steps", "50"],
+                 ["demo", "rlc", "--m", "6", "--steps", "50", "--lossless"]):
+        assert main(argv + ["--out", out]) == 0, argv
+    assert not bad, bad
+    assert set(calls) == {name for _, name in _LAPACK}, calls

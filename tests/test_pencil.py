@@ -39,8 +39,9 @@ def test_regularity_flag():
     assert not MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))).regular
 
 
-def test_norms_and_real_E_cached():
-    # computed once per pencil, with the values of the direct computation
+def test_norms_cached_and_one_dtype():
+    # norms computed once per pencil, with the values of the direct
+    # computation
     rng = np.random.default_rng(5)
     cplx = random_regular_pencil(rng, 6)
     real = MatrixPencil(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
@@ -49,11 +50,19 @@ def test_norms_and_real_E_cached():
         assert p.norm_A == norm2(p.A)
         assert p.norm_scale() == max(norm2(p.E), norm2(p.A), 1.0)
         assert p.norm_E is p.norm_E
-    assert cplx.real_E is None
-    assert MatrixPencil(real.E.real, cplx.A).real_E is None
-    E = real.real_E
-    assert E.dtype == float and E.flags.c_contiguous
-    assert np.array_equal(E, real.E) and real.real_E is E
+    # E and A share one dtype, float64 exactly when neither has an
+    # imaginary part; input already of that dtype is not copied
+    assert real.E.dtype == real.A.dtype == float
+    assert cplx.E.dtype == cplx.A.dtype == complex
+    mixed = MatrixPencil(real.E, cplx.A)
+    assert mixed.E.dtype == mixed.A.dtype == complex
+    assert np.array_equal(mixed.E, real.E)
+    typed = MatrixPencil(real.E.astype(complex), real.A.astype(complex))
+    assert typed.E.dtype == typed.A.dtype == float
+    assert typed.E.flags.c_contiguous
+    assert np.array_equal(typed.E, real.E) and np.array_equal(typed.A, real.A)
+    assert MatrixPencil(real.E, real.A).E is real.E
+    assert MatrixPencil(cplx.E, cplx.A).A is cplx.A
 
 
 def test_resolvent_at_diagonal(ode_pencil):
