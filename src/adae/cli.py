@@ -32,7 +32,7 @@ from .models import (
     rlc_pencil,
     weierstrass_pencil,
 )
-from .numerics import TolerancePolicy, svdvals
+from .numerics import TolerancePolicy, as_matrix, svdvals
 from .solver import implicit_euler_reference, solve_decoupled, solve_homogeneous
 
 
@@ -207,7 +207,7 @@ def _load_solve_inputs(args):
     p = _load_pencil(args)
     f = _load_forcing(args, p.n, args.tf)
     x0 = json.loads(args.x0) if args.x0 else np.zeros(p.n)
-    return p, f, np.asarray(x0, dtype=complex)
+    return p, f, as_matrix(x0).reshape(-1)
 
 
 def cmd_solve(args):
@@ -287,7 +287,7 @@ def _demo_rlc(args):
     else:
         # unit step voltage at the left port: boundary row reads 0 = V(0) + f
         row_v, _ = model.boundary_forcing_indices()
-        fvec = np.zeros(p.n, dtype=complex)
+        fvec = np.zeros(p.n)
         fvec[row_v] = -1.0
         rep = solve_decoupled(p, np.zeros(p.n),
                               PolynomialForcing.constant(fvec, args.tf), t_grid)

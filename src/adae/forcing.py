@@ -3,11 +3,15 @@
 Three kinds: piecewise polynomial (exact derivatives, the preferred path),
 sampled on a uniform grid (finite-difference derivatives at the nearest
 sample, limited smoothness), and callable (user-supplied derivative functions).
+Coefficients, samples and callable values go through ``numerics.as_matrix``:
+float64 when they have no imaginary part, complex128 otherwise, and NaN/Inf
+refused.
 """
 
 import numpy as np
 
 from .exceptions import InsufficientSmoothness
+from .numerics import as_matrix
 
 __all__ = [
     "ForcingSignal",
@@ -26,7 +30,8 @@ class ForcingSignal:
     max_derivative_order = 0
 
     def sample(self, ts, order=0):
-        """The order-th derivative at every time of ts, as (dim, len(ts))."""
+        """The order-th derivative at every time of ts, as (dim, len(ts)),
+        float64 when the signal's data are real and complex128 otherwise."""
         raise NotImplementedError
 
     def value(self, t):
@@ -57,8 +62,7 @@ class PolynomialForcing(ForcingSignal):
             raise ValueError("breakpoints must be strictly increasing, >= 2")
         if len(coeffs) != self.breakpoints.size - 1:
             raise ValueError("need one coefficient block per piece")
-        self.coeffs = [np.atleast_2d(np.asarray(c, dtype=complex))
-                       for c in coeffs]
+        self.coeffs = [as_matrix(c) for c in coeffs]
         dims = {c.shape[0] for c in self.coeffs}
         if len(dims) != 1:
             raise ValueError("pieces must share the vector dimension")
@@ -71,8 +75,7 @@ class PolynomialForcing(ForcingSignal):
 
     @classmethod
     def constant(cls, vec, t_f, t_0=0.0):
-        v = np.asarray(vec, dtype=complex).reshape(-1, 1)
-        return cls([t_0, t_f], [v])
+        return cls([t_0, t_f], [np.reshape(vec, (-1, 1))])
 
     @classmethod
     def zero(cls, dim, t_f, t_0=0.0):
@@ -86,7 +89,7 @@ class PolynomialForcing(ForcingSignal):
         ts = np.asarray(ts, dtype=float).reshape(-1)
         pieces = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
                          0, len(self.coeffs) - 1)
-        out = np.zeros((self.dim, ts.size), dtype=complex)
+        out = np.zeros((self.dim, ts.size), dtype=np.result_type(*self.coeffs))
         for i in np.unique(pieces):
             cols = np.flatnonzero(pieces == i)
             s = ts[cols] - self.breakpoints[i]
@@ -122,7 +125,7 @@ class SampledForcing(ForcingSignal):
 
     def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
-        self.values = np.atleast_2d(np.asarray(values, dtype=complex))
+        self.values = as_matrix(values)
         if self.values.shape[1] != self.times.size:
             raise ValueError("values must have one column per sample time")
         # the one-sided 5-point stencils need 6 samples to stay in bounds
@@ -144,7 +147,7 @@ class SampledForcing(ForcingSignal):
         h = self.h
         v = self.values
         i = np.clip(np.rint((ts - self.times[0]) / h).astype(int), 0, n - 1)
-        out = np.zeros((self.dim, ts.size), dtype=complex)
+        out = np.zeros((self.dim, ts.size), dtype=v.dtype)
         if order == 0:
             lo = np.clip(i - 1, 0, n - 4)
             for a in range(4):
@@ -200,4 +203,4 @@ class CallableForcing(ForcingSignal):
         out = np.empty((self.dim, ts.size), dtype=complex)
         for j, t in enumerate(ts):
             out[:, j] = np.asarray(fn(t), dtype=complex).reshape(-1)
-        return out
+        return as_matrix(out)

@@ -90,7 +90,7 @@ def write_csv_table(path, header, table):
 
 def write_trajectory_csv(path, times, trajectory):
     """Header "t, re_x1, im_x1, ...", one row per grid point."""
-    x = np.atleast_2d(np.asarray(trajectory, dtype=complex))
+    x = np.atleast_2d(np.asarray(trajectory))
     t = np.asarray(times, dtype=float)
     n = x.shape[0]
     if t.shape != (x.shape[1],):
@@ -102,7 +102,7 @@ def write_trajectory_csv(path, times, trajectory):
     table = np.empty((t.size, 1 + 2 * n))
     table[:, 0] = t
     table[:, 1::2] = x.real.T
-    table[:, 2::2] = x.imag.T
+    table[:, 2::2] = x.imag.T if np.iscomplexobj(x) else 0.0
     write_csv_table(path, header, table)
 
 

@@ -14,7 +14,10 @@ class "e^(-mu s) times vector polynomial" and the only floating-point error
 is the matrix exponential itself; sampled/callable forcing falls back to
 finite-difference derivatives and per-step quadrature.  Both paths read
 (A - mu E)^-1 and R_r(mu) from the Wong chain the staircase was derived
-from, so a solve factors A - mu E once.
+from, so a solve factors A - mu E once.  Each path works in the result type
+of the data it is given (the staircase factors, x0, the forcing and mu), so
+a real pencil with real x0 and real forcing is solved in float64 end to
+end, and anything complex in complex128.
 """
 
 import warnings
@@ -32,7 +35,7 @@ from .exceptions import (
 )
 from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .growth import _pick_mu
-from .numerics import expm, svdvals
+from .numerics import as_matrix, expm, svdvals
 from .pencil import MatrixPencil, _cumulative_trapezoid
 
 __all__ = [
@@ -64,9 +67,8 @@ class SolveReport:
 def _shifted_derivative(gf, mu, ts, order):
     """d^order/dt^order [e^(-mu t) g(t)] at the times ts by the product rule,
     from gf[j] = g^(j)(ts) for j <= order (one column per time)."""
-    acc = np.zeros_like(gf[0])
-    for j in range(order + 1):
-        acc += comb(order, j) * (-mu) ** (order - j) * gf[j]
+    acc = sum(comb(order, j) * (-mu) ** (order - j) * gf[j]
+              for j in range(order + 1))
     return np.exp(-mu * np.asarray(ts, dtype=float)) * acc
 
 
@@ -140,7 +142,8 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
     U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
     k = stair.k
     top = k if nV else k - 1
-    xt = np.zeros((p.n, t.size), dtype=complex)  # staircase coords of x_mu
+    dtype = np.result_type(U, UhG, B, x0, mu, *f.coeffs)
+    xt = np.zeros((p.n, t.size), dtype=dtype)  # staircase coords of x_mu
     xV = (U.conj().T @ x0)[:nV]
     bps = f.breakpoints
     for ip, C in enumerate(f.coeffs):
@@ -148,7 +151,7 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
         j0 = int(np.argmin(np.abs(t - ta)))
         j1 = int(np.argmin(np.abs(t - min(bps[ip + 1], t[-1]))))
         d = C.shape[1] - 1
-        D = -mu * np.eye(d + 1, dtype=complex)
+        D = -mu * np.eye(d + 1, dtype=dtype)
         D += np.diag(np.arange(1, d + 1), -1)
         F = np.exp(-mu * ta) * (UhG @ C)
         gW = [F[nV:]]
@@ -167,7 +170,7 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
                 xV = xV - B @ (Rt[:nV, nV:] @ (xt[nV:, j0] - old_w))
             # ODE x' = B x + B h_sig with h_sig = f_V - R_0W x_W'
             h_sig = F[:nV] - Rt[:nV, nV:] @ xW[1] if k else F[:nV]
-            Maug = np.zeros((nV + d + 1, nV + d + 1), dtype=complex)
+            Maug = np.zeros((nV + d + 1, nV + d + 1), dtype=dtype)
             Maug[:nV, :nV] = B
             Maug[:nV, nV:] = B @ h_sig
             Maug[nV:, nV:] = D
@@ -201,7 +204,8 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
 
     The grid is processed in blocks of _BLOCK times, each evaluated with
     array products; only the V_k recurrence x_j = Phi x_{j-1} + c_j steps
-    point by point.
+    point by point.  A callable's samples are typed block by block, so the
+    trajectory turns complex at the first block whose forcing is.
     """
     U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
     k = stair.k
@@ -209,7 +213,7 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         warnings.warn("sampled forcing: derivatives via finite differences")
     top = k if nV else k - 1
 
-    xt = np.zeros((p.n, t.size), dtype=complex)
+    xt = np.zeros((p.n, t.size), dtype=np.result_type(U, UhG, B, x0, mu))
     if nV:
         nodes, weights = np.polynomial.legendre.leggauss(4)
         taus = 0.5 * h * (nodes + 1.0)
@@ -223,19 +227,21 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         tb = t[b0:b0 + _BLOCK]
         if k:
             _, xW = _fd_derivatives(UhG, N, nV, f, mu, tb, top)
+            xt = xt.astype(np.result_type(xt, xW[0]), copy=False)
             xt[nV:, b0:b0 + tb.size] = xW[0]
         if not nV:
             continue
         # steps [t_j, t_j + h] starting in this block; Gauss quadrature of
         # int e^((h - tau) B) B h_sig(t_j + tau) with h_sig = f_V - R_0W x_W'
         starts = tb[:t.size - 1 - b0]
-        inc = np.zeros((nV, starts.size), dtype=complex)
+        inc = 0
         for q in range(4):
             g, xW = _fd_derivatives(UhG, N, nV, f, mu, starts + taus[q], top)
             h_sig = g[0][:nV]
             if k:
                 h_sig = h_sig - Rt[:nV, nV:] @ xW[1]
-            inc += ws[q] * (prop[q] @ (B @ h_sig))
+            inc = inc + ws[q] * (prop[q] @ (B @ h_sig))
+        xt = xt.astype(np.result_type(xt, inc), copy=False)
         for i in range(starts.size):
             xV = Phi @ xV + inc[:, i]
             xt[:nV, b0 + i + 1] = xV
@@ -249,8 +255,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
     t, h = _check_grid(p, t_grid)
     if mu is None:
         mu = _pick_mu(p)
-    x0 = np.zeros(p.n, dtype=complex) if x0 is None else \
-        np.asarray(x0, dtype=complex).reshape(-1)
+    x0 = np.zeros(p.n) if x0 is None else as_matrix(x0).reshape(-1)
     if x0.size != p.n:
         raise ValueError(f"x0 has {x0.size} entries, the pencil has n = {p.n}")
     _check_forcing(f, t)
@@ -293,9 +298,14 @@ def solve_homogeneous(p: MatrixPencil, x0, t_grid,
 
 def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
                              t_grid) -> SolveReport:
-    """(E - h A) x_{n+1} = E x_n + h f(t_{n+1}); independent cross-check."""
+    """(E - h A) x_{n+1} = E x_n + h f(t_{n+1}); independent cross-check.
+
+    E - h A is factored once and applied in two batched solves, P =
+    (E - h A)^-1 E and Y = h (E - h A)^-1 [f(t_1), ..., f(t_N)], so the
+    steps x_{n+1} = P x_n + Y_{n+1} are products only.
+    """
     t, h = _check_grid(p, t_grid)
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
+    x0 = as_matrix(x0).reshape(-1)
     for attempt in range(4):
         M = p.E - h * p.A
         s = svdvals(M)
@@ -306,14 +316,15 @@ def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
         h *= 1.01
         t = t[0] + h * np.arange(t.size)
     lu = spla.lu_factor(M)
-    fv = f.sample(t)
-    traj = np.zeros((p.n, t.size), dtype=complex)
-    traj[:, 0] = x0
-    x = x0
+    Pt = spla.lu_solve(lu, p.E).T
+    Y = spla.lu_solve(lu, h * f.sample(t[1:]))
+    # one row per time, so each step reads and writes contiguous rows
+    X = np.empty((t.size, p.n), dtype=np.result_type(Pt, Y, x0))
+    X[0] = x0
+    X[1:] = Y.T
     for j in range(1, t.size):
-        rhs = p.E @ x + h * fv[:, j]
-        x = spla.lu_solve(lu, rhs)
-        traj[:, j] = x
+        X[j] += X[j - 1] @ Pt
+    traj = X.T
     report = SolveReport(
         times=t, trajectory=traj, consistent_x0=x0, correction_norm=0.0,
         classical_residual=np.nan, mild_residual=np.nan, mu_used=0.0,

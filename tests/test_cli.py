@@ -238,6 +238,36 @@ def test_solve_x0_length_exits_one(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def _nan_input(tmp_path, which):
+    """solve arguments with one NaN in x0, the forcing JSON or the CSV."""
+    if which == "x0":
+        return ["--x0", "[NaN, 0.0]"]
+    if which == "forcing":
+        g = tmp_path / "forcing.json"
+        g.write_text(json.dumps({"breakpoints": [0.0, 1.0], "pieces": [
+            {"rows": 2, "cols": 1, "re": [1.0, float("nan")]}]}))
+        return ["--forcing", str(g)]
+    rows = ["t, f1, f2"] + [f"{ti!r}, {ti!r}, {'nan' if j == 3 else 0.0}"
+                            for j, ti in enumerate(np.linspace(0, 1, 11).tolist())]
+    csv = tmp_path / "forcing.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    return ["--forcing-csv", str(csv)]
+
+
+@pytest.mark.parametrize("which", ["x0", "forcing", "forcing-csv"])
+def test_solve_non_finite_input_exits_one(tmp_path, capsys, which):
+    # a NaN used to run through to an all-nan trajectory and a solve.json
+    # with bare NaN residuals, exit code 0
+    f = tmp_path / "pencil.json"
+    write_pencil(f, np.eye(2), -np.eye(2))
+    code = main(["solve", "--input", str(f), *_nan_input(tmp_path, which),
+                 "--tf", "1.0", "--steps", "10", "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: matrix contains NaN/Inf entries" in capsys.readouterr().err
+    assert not (tmp_path / "solve.json").exists()
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("breakpoints, message", [
     ([0.0, 0.37, 1.0], "forcing breakpoints must lie on the time grid"),
     ([0.0, 0.5, 0.75], "forcing covers [0, 0.75], not the time grid [0, 1]"),

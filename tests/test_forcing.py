@@ -100,6 +100,48 @@ def test_callable_forcing():
         f.derivative(0.5, 2)
 
 
+def test_samples_take_the_dtype_of_their_data():
+    # real data give float64 samples, also when typed complex; data with an
+    # imaginary part give complex128
+    t = np.linspace(0.0, 1.0, 11)
+    real = [
+        PolynomialForcing.from_coeffs(np.ones((2, 2), dtype=complex), 1.0),
+        PolynomialForcing.constant([1.0, -2.0], 1.0),
+        SampledForcing(t, np.vstack([t, t * t]).astype(complex)),
+        CallableForcing(2, lambda s: [np.sin(s), 1.0 + 0j],
+                        derivatives=[lambda s: [np.cos(s), 0.0]]),
+    ]
+    for f in real:
+        assert f.sample(t).dtype == np.float64
+        assert f.sample(t, 1).dtype == np.float64
+    cplx = [
+        PolynomialForcing.from_coeffs([[1.0, 1j]], 1.0),
+        SampledForcing(t, np.exp(1j * t)),
+        CallableForcing(1, lambda s: [np.exp(1j * s)],
+                        derivatives=[lambda s: [1j * np.exp(1j * s)]]),
+    ]
+    for f in cplx:
+        assert f.sample(t).dtype == np.complex128
+        assert f.sample(t, 1).dtype == np.complex128
+    # the callable's samples are typed as a whole: exp(i t) is real at 0
+    assert cplx[2].sample([0.0, 0.5]).dtype == np.complex128
+    assert cplx[2].sample([0.0]).dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forcing_refuses_non_finite_data(bad):
+    t = np.linspace(0.0, 1.0, 11)
+    vals = np.vstack([t, t])
+    vals[1, 4] = bad
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        SampledForcing(t, vals)
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        PolynomialForcing.from_coeffs([[1.0, bad]], 1.0)
+    f = CallableForcing(1, lambda s: [bad if s > 0.5 else s])
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        f.sample(t)
+
+
 def test_zero_forcing():
     f = PolynomialForcing.zero(3, 5.0)
     assert np.allclose(f.value(2.0), np.zeros(3))

@@ -81,6 +81,18 @@ def test_trajectory_csv_bytes_match_per_element_format(tmp_path):
     assert e.read_text() == "t, energy\n" + want
 
 
+def test_real_trajectory_csv_matches_complex_typed(tmp_path):
+    # a float64 trajectory is written as it is, with 0.0 imaginary columns,
+    # not copied into complex128 first; the bytes are the same
+    t = np.linspace(0.0, 1.0, 9)
+    x = np.vstack([np.exp(-t), -np.cos(3 * t), np.zeros_like(t)])
+    write_trajectory_csv(tmp_path / "real.csv", t, x)
+    write_trajectory_csv(tmp_path / "complex.csv", t, x.astype(complex))
+    got = (tmp_path / "real.csv").read_bytes()
+    assert got == (tmp_path / "complex.csv").read_bytes()
+    assert got.decode() == _per_element_csv(t, x.astype(complex))
+
+
 @pytest.mark.parametrize("n_times", [4, 6])
 def test_trajectory_csv_rejects_mismatched_lengths(tmp_path, n_times):
     x = np.ones((2, 5), dtype=complex)

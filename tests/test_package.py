@@ -135,7 +135,7 @@ def test_scan_sees_the_package():
 
 
 _LAPACK = [(spla, name) for name in ("inv", "svd", "svdvals", "expm",
-                                     "lu_factor", "eigvalsh")]
+                                     "lu_factor", "lu_solve", "eigvalsh")]
 _LAPACK.append((np.linalg, "eigvalsh"))
 
 
@@ -168,18 +168,28 @@ def test_real_models_reach_lapack_in_real_arithmetic(tmp_path, monkeypatch):
     # the real/complex decision is made once, where data enters: the
     # heat-wave and RLC pencils are real, so no complex-typed array whose
     # imaginary part is all zero reaches LAPACK, except the QZ oracle's
-    # complex Schur factors
+    # complex Schur factors.  Real forcing and x0 keep both solve paths
+    # real too, and implicit Euler solves with its LU twice, not per step
     calls, bad = _watch_lapack(monkeypatch)
     spla.inv(np.eye(2, dtype=complex))  # the watch sees such an array
     assert bad == [("inv", (2, 2))]
     bad.clear()
     out = str(tmp_path)
+    t = np.linspace(0.0, 1.0, 101)
+    csv = tmp_path / "forcing.csv"
+    csv.write_text("t, f\n" + "".join(
+        f"{ti!r}, " + ", ".join([repr(float(np.sin(3 * ti)))] * 18) + "\n"
+        for ti in t.tolist()))
     for argv in (["analyze", "--model", "heat-wave", "--m", "10"],
                  ["analyze", "--model", "rlc", "--m", "8"],
                  ["solve", "--model", "rlc", "--m", "8", "--cross-check"],
+                 ["solve", "--model", "rlc", "--m", "8", "--x0", str([0.5] * 18),
+                  "--forcing-csv", str(csv)],
                  ["demo", "heat-wave", "--m", "6", "--steps", "50"],
                  ["demo", "rlc", "--m", "6", "--steps", "50"],
                  ["demo", "rlc", "--m", "6", "--steps", "50", "--lossless"]):
+        solves = calls.get("lu_solve", 0)
         assert main(argv + ["--out", out]) == 0, argv
+        assert calls.get("lu_solve", 0) - solves <= 2, argv
     assert not bad, bad
     assert set(calls) == {name for _, name in _LAPACK}, calls

@@ -185,6 +185,71 @@ def test_multipiece_matches_fine_euler():
     assert dev < 1e-3 * scale
 
 
+# -- real and complex arithmetic, batched Euler steps -------------------------
+
+def _euler_per_step(p, x0, f, t):
+    """Implicit Euler with one lu_solve per step."""
+    h = float(t[1] - t[0])
+    lu = spla.lu_factor(p.E - h * p.A)
+    fv = f.sample(t)
+    x = np.asarray(x0, dtype=complex)
+    out = [x]
+    for j in range(1, t.size):
+        x = spla.lu_solve(lu, p.E @ x + h * fv[:, j])
+        out.append(x)
+    return np.column_stack(out)
+
+
+@pytest.mark.parametrize("name, dtype", [("rlc-8", np.float64),
+                                         ("weierstrass-2", np.complex128)])
+def test_euler_matches_per_step_solves(name, dtype):
+    p = rlc_pencil(RLCConfig(m=8)).companion if name == "rlc-8" else \
+        weierstrass_pencil(WeierstrassSpec((-1.0, -2.0), (2,), 3))[0]
+    assert p.E.dtype == dtype
+    rng = np.random.default_rng(8)
+    f = PolynomialForcing([0.0, 0.5, 1.0], [rng.standard_normal((p.n, 2)),
+                                            rng.standard_normal((p.n, 3))])
+    x0 = rng.standard_normal(p.n)
+    rep = implicit_euler_reference(p, x0, f, np.linspace(0.0, 1.0, 201))
+    assert rep.trajectory.dtype == dtype
+    want = _euler_per_step(p, x0, f, rep.times)
+    # the two recurrences round differently, and (E - h A)^-1 amplifies
+    # that by up to the condition number of E - h A: about 2e5 at index 2
+    h = rep.times[1] - rep.times[0]
+    bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(p.E - h * p.A))
+    assert _rel_dev(rep.trajectory, want) < bound
+
+
+def _as_callable(poly):
+    return CallableForcing(poly.dim, poly.value, derivatives=[
+        lambda s, o=o: poly.derivative(s, o) for o in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("path", ["staircase-exact", "staircase-fd"])
+def test_real_pencil_solve_is_linear_across_dtypes(path):
+    # real pencil, real x0: real forcing is solved in float64, complex
+    # forcing in complex128, and the complex solve splits into the two
+    # real ones
+    p = rlc_pencil(RLCConfig(m=8)).companion
+    t = np.linspace(0.0, 1.0, 301)
+    rng = np.random.default_rng(11)
+    cr, ci = rng.standard_normal((2, p.n, 3))
+    x0 = rng.standard_normal(p.n)
+
+    def solve(x, c):
+        poly = PolynomialForcing.from_coeffs(c, 1.0)
+        f = poly if path == "staircase-exact" else _as_callable(poly)
+        rep = solve_decoupled(p, x, f, t)
+        assert rep.method == path
+        return rep.trajectory
+
+    re, im = solve(x0, cr), solve(np.zeros(p.n), ci)
+    assert re.dtype == im.dtype == np.float64
+    both = solve(x0, cr + 1j * ci)
+    assert both.dtype == np.complex128
+    assert _rel_dev(both, re + 1j * im) < 1e-12
+
+
 def test_sampled_forcing_solve_index1():
     p = MatrixPencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]))
     t = np.linspace(0.0, 1.0, 401)
