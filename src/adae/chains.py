@@ -25,6 +25,7 @@ from .exceptions import (
     PatternViolation,
 )
 from .numerics import (
+    DEFAULT_POLICY,
     Subspace,
     norm2,
     null_basis,
@@ -39,9 +40,9 @@ from .pencil import (
     _BOUND_MARGIN,
     MatrixPencil,
     _norm2_lower,
-    _shifted_inverse,
     _side_product,
     pseudo_resolvent,
+    resolvent_at,
 )
 
 __all__ = [
@@ -98,7 +99,7 @@ def build_chain(p: MatrixPencil, mu: complex,
     plateau there is not the splitting V_k (+) W_k).  A chain not
     stabilized by k = n holds all n + 2 levels and has stabilization_k None.
     """
-    G = _shifted_inverse(p, mu)
+    G = -resolvent_at(p, mu).inverse  # bitwise (A - mu E)^-1
     R = _side_product(p, G, side)
     n = R.shape[0]
     pol = p.pol
@@ -121,7 +122,7 @@ def build_chain(p: MatrixPencil, mu: complex,
     return chain
 
 
-def check_decomposition(chain: SubspaceChain, pol=None):
+def check_decomposition(chain: SubspaceChain, pol=DEFAULT_POLICY):
     """Does V_k (+) W_k = whole space with a healthy angle between the parts?
 
     Returns (holds, gap) with gap the sine of the smallest principal angle
@@ -140,8 +141,7 @@ def check_decomposition(chain: SubspaceChain, pol=None):
         return True, 1.0
     V, W = Vk.basis, Wk.basis
     gap = float(svdvals(W - V @ (V.conj().T @ W))[-1])
-    tol = 1e-8 if pol is None else pol.subspace_tol
-    return gap > tol, gap
+    return gap > pol.subspace_tol, gap
 
 
 class StaircaseForm:

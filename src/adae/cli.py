@@ -16,7 +16,13 @@ import numpy as np
 from .chains import staircase_from_chain, y_impli_check
 from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
-from .growth import LambdaGrid, certify_D2, index_comparison_report
+from .growth import (
+    LambdaGrid,
+    certify_D1,
+    certify_D2,
+    check_left_dissipativity,
+    index_comparison_report,
+)
 from .io import (
     read_pencil_json,
     write_csv_table,
@@ -90,7 +96,7 @@ def _build_parser():
 
 
 def _policy(args):
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         return TolerancePolicy(rank_rel_tol=args.tol)
     return TolerancePolicy()
 
@@ -132,21 +138,26 @@ def _cert_dict(c):
     return None if c is None else c.to_dict()
 
 
+def _load_analyze_inputs(args):
+    if not np.isfinite(args.omega):
+        raise ValueError(f"omega must be finite, got {args.omega}")
+    grid = LambdaGrid.default(n_points=args.lambda_points,
+                              lam_min=args.lambda_min, lam_max=args.lambda_max)
+    return _load_pencil(args), grid
+
+
 def cmd_analyze(args):
-    p = _read_input(_load_pencil, args)
-    if p is None:
+    inputs = _read_input(_load_analyze_inputs, args)
+    if inputs is None:
         return 1
+    p, grid = inputs
     if not p.is_square:
         print("error: analyze requires a square pencil", file=sys.stderr)
         return 1
     if not p.regular:
         print("error: pencil not regular", file=sys.stderr)
         return 1
-    grid = LambdaGrid(
-        points=np.logspace(np.log10(args.lambda_min),
-                           np.log10(args.lambda_max), args.lambda_points),
-        omega=0.0)
-    rep = index_comparison_report(p, grid, omega=args.omega)
+    rep = index_comparison_report(p, grid)
     mu, chain = rep["wong_mu"], rep["wong_chain"]
     stair = staircase_from_chain(p, chain)
     try:
@@ -171,9 +182,9 @@ def cmd_analyze(args):
         "qz_eigenvalues": [
             None if e == np.inf else [e.real, e.imag]
             for e in rep["qz_eigenvalues"]],
-        "dissipativity": rep["dissipativity"].to_dict(),
-        "D1_certificate": rep["D1_certificate"].to_dict(),
-        "D2_certificate": rep["D2_certificate"].to_dict(),
+        "dissipativity": check_left_dissipativity(p, args.omega).to_dict(),
+        "D1_certificate": certify_D1(p, args.omega).to_dict(),
+        "D2_certificate": certify_D2(p, args.omega).to_dict(),
         "y_impli": yimp,
         "violations": rep["violations"],
     }

@@ -8,7 +8,8 @@ Growth conditions along real lambda -> infinity:
     (D_k):  ||R(lambda) x|| <= M/(lambda-omega) ||x||  on ran R(omega)^(k-1)
 
 Index estimates fit a log-log slope over the top two decades of a lambda
-grid; certificates record the evidence grid and the smallest observed M.
+grid; they and check_Dk record the evidence grid and the smallest observed
+M.  The D1/D2 certificates are decided from their sufficient conditions.
 """
 
 import warnings
@@ -32,7 +33,7 @@ from .numerics import (
     subspace_intersection,
     svdvals,
 )
-from .pencil import MatrixPencil, pseudo_resolvent, resolvent_at
+from .pencil import MatrixPencil, _side_product, pseudo_resolvent, resolvent_at
 
 __all__ = [
     "LambdaGrid",
@@ -56,6 +57,10 @@ class LambdaGrid:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
+        if pts.size == 0:
+            raise ValueError("grid needs at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
         if np.any(pts <= self.omega):
@@ -65,9 +70,11 @@ class LambdaGrid:
     @classmethod
     def default(cls, omega: float = 0.0, n_points: int = 48,
                 lam_min: float = 1.0, lam_max: float = 1e4) -> "LambdaGrid":
-        # lam_max is capped well below 1/eps^(1/3): the resolvent of an
-        # index-k pencil has cond ~ lam^k, and beyond eps*cond ~ 1 the
-        # computed norms carry no information
+        # the default lam_max = 1e4 stays well below 1/eps^(1/3): the
+        # resolvent of an index-k pencil has cond ~ lam^k, and beyond
+        # eps*cond ~ 1 the computed norms carry no information
+        if not (0 < lam_min < np.inf and 0 < lam_max < np.inf):
+            raise ValueError("lambda bounds must be positive and finite")
         pts = np.logspace(np.log10(lam_min), np.log10(lam_max), n_points)
         if omega >= lam_min:
             pts = pts + omega
@@ -148,15 +155,12 @@ class _Sweep:
             lam = float(lam)
             if lam not in self.failed and name not in self.values.get(lam, ()):
                 todo.setdefault(lam, {})[name] = None
-        E = self.p.E
         for lam in sorted(todo):
             try:
                 res = resolvent_at(self.p, lam).inverse  # (lam E - A)^-1
             except NotInResolventSet:
                 self.failed.add(lam)
                 continue
-            # pivoted LU commutes with negation, so -res is bitwise the
-            # inverse of A - lam E that the pseudo-resolvents are built from
             sides = {}
             vals = self.values.setdefault(lam, {})
             for name in todo[lam]:
@@ -165,7 +169,8 @@ class _Sweep:
                 else:
                     side, j = (name, None) if isinstance(name, str) else name
                     if side not in sides:
-                        sides[side] = E @ (-res) if side == "left" else (-res) @ E
+                        # as in pseudo_resolvent: -res is (A - lam E)^-1
+                        sides[side] = _side_product(self.p, -res, side)
                     m = sides[side] if j is None else sides[side] @ self.bases[j]
                 vals[name] = norm2(m)
 
@@ -376,67 +381,21 @@ def _prerequisite_failure(p, omega):
     return "no full-rank probe lambda0 > omega found"
 
 
-def _D1_failure(p, omega, diss):
-    """Why certify_D1 fails at omega, given the dissipativity certificate
-    at omega, or None."""
-    if diss.verdict != "holds":
-        return "dissipativity fails: " + diss.detail
-    return _prerequisite_failure(p, omega)
-
-
-def _D1_certificate(p, omega, failure):
-    if failure:
-        return GrowthCertificate("D1-cert", 1, omega, 1.0, "fails",
-                                 detail=failure)
-    measured = check_Dk(p, 1, LambdaGrid.default(omega=omega), side="left")
-    return GrowthCertificate("D1-cert", 1, omega, 1.0, "holds",
-                             evidence=measured.evidence,
-                             detail=f"measured grid constant {measured.M:.6f}")
-
-
 def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     """Sufficient conditions for (D_1) with M = 1.
 
     Dissipativity + trivial ker E /\\ ker A + a surjective lambda0 E - A give
-    ||E (A - lambda E)^-1|| <= 1/(lambda - omega); the certificate also
-    records the measured grid constant for cross-validation.
+    ||E (A - lambda E)^-1|| <= 1/(lambda - omega).  The verdict comes from
+    these hypotheses alone; check_Dk measures the constant on a grid.
     """
     diss = check_left_dissipativity(p, omega)
-    return _D1_certificate(p, omega, _D1_failure(p, omega, diss))
-
-
-def _D2_prerequisites(p, omega):
-    """(why certify_D2 fails at omega or None, M1, M2)."""
-    scale = p.norm_E + 1.0
-    if norm2(p.E - p.E.conj().T) > p.pol.residual_tol * scale:
-        return "E is not self-adjoint", None, None
-    eigE = spla.eigvalsh(_herm(p.E)) if p.n else np.array([])
-    if eigE.size and eigE[0] < -p.pol.residual_tol * scale:
-        return "E has a negative eigenvalue", None, None
-    HA = _herm(p.A - omega * p.E)
-    lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
-    if lam_max > p.pol.residual_tol * (p.norm_A + scale):
-        return "A - omega E is not dissipative", None, None
-    failure = _prerequisite_failure(p, omega)
-    if failure:
-        return failure, None, None
-    svals = svdvals(p.E)
-    r = rank_from_svals(svals, p.E.shape, p.pol)
-    if r == 0:
-        return "E vanishes", None, None
-    return None, float(svals[0]), float(svals[r - 1])
-
-
-def _D2_certificate(p, omega, prerequisites):
-    failure, M1, M2 = prerequisites
-    if failure:
-        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
-                                 detail=failure)
-    measured = check_Dk(p, 2, LambdaGrid.default(omega=omega), side="left")
-    return GrowthCertificate("D2-cert", 2, omega, M1 / M2, "holds",
-                             evidence=measured.evidence,
-                             detail=(f"M1={M1:.6f}, M2={M2:.6f}; "
-                                     f"measured grid constant {measured.M:.6f}"))
+    if diss.verdict != "holds":
+        failure = "dissipativity fails: " + diss.detail
+    else:
+        failure = _prerequisite_failure(p, omega)
+    return GrowthCertificate("D1-cert", 1, omega, 1.0,
+                             "fails" if failure else "holds",
+                             detail=failure or "")
 
 
 def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
@@ -444,9 +403,33 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
 
     E self-adjoint nonnegative with closed range, A - omega E dissipative,
     trivial kernel intersection, and a surjective probe; M1/M2 are the
-    extreme nonzero singular values of E.
+    extreme nonzero singular values of E.  The verdict comes from these
+    hypotheses alone; check_Dk measures the constant on a grid.
     """
-    return _D2_certificate(p, omega, _D2_prerequisites(p, omega))
+    def fails(why):
+        return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
+                                 detail=why)
+
+    scale = p.norm_E + 1.0
+    if norm2(p.E - p.E.conj().T) > p.pol.residual_tol * scale:
+        return fails("E is not self-adjoint")
+    eigE = spla.eigvalsh(_herm(p.E)) if p.n else np.array([])
+    if eigE.size and eigE[0] < -p.pol.residual_tol * scale:
+        return fails("E has a negative eigenvalue")
+    HA = _herm(p.A - omega * p.E)
+    lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
+    if lam_max > p.pol.residual_tol * (p.norm_A + scale):
+        return fails("A - omega E is not dissipative")
+    failure = _prerequisite_failure(p, omega)
+    if failure:
+        return fails(failure)
+    svals = svdvals(p.E)
+    r = rank_from_svals(svals, p.E.shape, p.pol)
+    if r == 0:
+        return fails("E vanishes")
+    M1, M2 = float(svals[0]), float(svals[r - 1])
+    return GrowthCertificate("D2-cert", 2, omega, M1 / M2, "holds",
+                             detail=f"M1={M1:.6f}, M2={M2:.6f}")
 
 
 @dataclass
@@ -510,8 +493,7 @@ def tractability_chain(p: MatrixPencil, max_stages: int | None = None) -> Tracta
     return TractabilityChain(stages=stages, index=None)
 
 
-def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
-                            omega: float | None = None):
+def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
     """Run every index notion on one pencil and flag implication violations.
 
     Checks the one-way implications between the growth conditions:
@@ -519,14 +501,12 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
     forces G_{k+1} and rules out G_{k-1}; in the bounded (matrix) setting
     R_k forces D_k on the appropriate subspace.
 
-    Given `omega`, the report also holds the dissipativity, D1 and D2
-    certificates at omega.  The estimators and certificates share one
-    sweep, which inverts each distinct lambda of its grids once, and takes
-    R(mu) from the Wong chain.  The R-index fixes the D_check restriction,
-    and its k and verdict come from the top two decades of the G/R grid
-    alone, so those are swept first, then every other lambda.  (A G/R grid
-    whose top decades reach into D_check's grid inverts the shared points
-    twice.)
+    The estimators share one sweep, which inverts each distinct lambda of
+    its grids once, and takes R(mu) from the Wong chain.  The R-index fixes
+    the D_check restriction, and its k and verdict come from the top two
+    decades of the G/R grid alone, so those are swept first, then every
+    other lambda.  (A G/R grid whose top decades reach into D_check's grid
+    inverts the shared points twice.)
     """
     if grid is None:
         grid = LambdaGrid.default()
@@ -539,28 +519,15 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
     sweep = _Sweep(p, at={(mu, "left"): wong.R})
     token = _SHARED_SWEEP.set(sweep)
     try:
-        # the D certificates' prerequisites are decided before the sweep,
-        # so that only the grids of certificates that hold are swept
-        d_wanted = []
-        if omega is not None:
-            diss = check_left_dissipativity(p, omega)
-            d1_failure = _D1_failure(p, omega, diss)
-            d2_prerequisites = _D2_prerequisites(p, omega)
-            for k, failure in ((1, d1_failure), (2, d2_prerequisites[0])):
-                name = None if failure else sweep.restriction(k, omega, "left")
-                if name is not None:
-                    d_wanted += _Dk_wanted(LambdaGrid.default(omega=omega),
-                                           name, "left")
         top = LambdaGrid(grid.points[_top_decades(grid.points)], grid.omega)
-        on_top = set(top.points.tolist())
-        sweep.run(_on_grid(top, "left", "right", "R")
-                  + [w for w in d_wanted if w[0] in on_top])
+        sweep.run(_on_grid(top, "left", "right", "R"))
         d_check_grid = LambdaGrid.default(omega=_safe_omega(eigs))
         r_top = _index_fit(*sweep.kept(top, "R")[:2], grid.omega, "R")
+        d_wanted = []
         if r_top.verdict == "holds" and r_top.k >= 1:
             name = sweep.restriction(r_top.k, d_check_grid.omega, "left")
             if name is not None:
-                d_wanted += _Dk_wanted(d_check_grid, name, "left")
+                d_wanted = _Dk_wanted(d_check_grid, name, "left")
         sweep.run(_on_grid(grid, "left", "right", "R") + d_wanted)
         g_left = estimate_G_index(p, grid, side="left")
         g_right = estimate_G_index(p, grid, side="right")
@@ -586,7 +553,7 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
                     f"R_{r_cert.k} holds but D_{r_cert.k} fails at "
                     f"omega={d_cert.omega:.3f}")
 
-        report = {
+        return {
             "G_index_left": g_left,
             "G_index_right": g_right,
             "R_index": r_cert,
@@ -600,14 +567,8 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None,
             "qz_eigenvalues": eigs,
             "violations": violations,
         }
-        if omega is not None:
-            report["dissipativity"] = diss
-            report["D1_certificate"] = _D1_certificate(p, omega, d1_failure)
-            report["D2_certificate"] = _D2_certificate(p, omega,
-                                                       d2_prerequisites)
     finally:
         _SHARED_SWEEP.reset(token)
-    return report
 
 
 def _pick_mu(p, candidates=(0.0, 1.0, 2.37, 5.11, -1.3, 7.9)):

@@ -183,21 +183,6 @@ def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
     return ResolventSample(lam=lam, inverse=_certified_inverse(m, lam))
 
 
-def _shifted_inverse(p: MatrixPencil, lam: complex) -> np.ndarray:
-    """(A - lam E)^-1, the building block of both pseudo-resolvents."""
-    return _certified_inverse(p.A - lam * p.E, lam)
-
-
-def left_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
-    """R_l(lam) = E (A - lam E)^-1."""
-    return p.E @ _shifted_inverse(p, lam)
-
-
-def right_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
-    """R_r(lam) = (A - lam E)^-1 E."""
-    return _shifted_inverse(p, lam) @ p.E
-
-
 def _side_product(p: MatrixPencil, G: np.ndarray, side: str) -> np.ndarray:
     """The pseudo-resolvent E G (left) or G E (right), G = (A - lam E)^-1."""
     if side == "left":
@@ -208,7 +193,19 @@ def _side_product(p: MatrixPencil, G: np.ndarray, side: str) -> np.ndarray:
 
 
 def pseudo_resolvent(p: MatrixPencil, lam: complex, side: str) -> np.ndarray:
-    return _side_product(p, _shifted_inverse(p, lam), side)
+    # pivoted LU commutes with negation, so the negated inverse of
+    # lam E - A is bitwise the inverse of A - lam E
+    return _side_product(p, -resolvent_at(p, lam).inverse, side)
+
+
+def left_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
+    """R_l(lam) = E (A - lam E)^-1."""
+    return pseudo_resolvent(p, lam, "left")
+
+
+def right_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
+    """R_r(lam) = (A - lam E)^-1 E."""
+    return pseudo_resolvent(p, lam, "right")
 
 
 def pseudo_resolvent_residual(p: MatrixPencil, lam: complex, mu: complex,

@@ -58,7 +58,7 @@ def evaluate(tr: DegenerateSemigroup, t: float) -> np.ndarray:
     Q = tr.gen.basis.basis
     if tr.dim_V == 0:
         n = Q.shape[0]
-        return np.zeros((n, n), dtype=complex)
+        return np.zeros((n, n), dtype=np.result_type(Q, tr.gen.matrix))
     return Q @ expm(t * tr.gen.matrix) @ Q.conj().T
 
 

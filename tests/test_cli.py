@@ -55,7 +55,7 @@ def _count_inverses(monkeypatch, counts, shifted):
     def counted(m, *args, **kwargs):
         counts["inv"] = counts.get("inv", 0) + 1
         if np.array_equal(m, shifted):
-            counts["inv(A - mu E)"] = counts.get("inv(A - mu E)", 0) + 1
+            counts["inv(mu E - A)"] = counts.get("inv(mu E - A)", 0) + 1
         return inv(m, *args, **kwargs)
     monkeypatch.setattr(spla, "inv", counted)
 
@@ -77,14 +77,14 @@ def test_analyze_factors_once(tmp_path, monkeypatch):
 
 def test_analyze_heat_wave_inverts_once_per_lambda(tmp_path, monkeypatch):
     # one report sweep: 72 distinct lambda on the G/R and D grids (24 of the
-    # D points lie on the G/R grid), the Wong chain at mu, the D2
-    # restriction space at omega = 0 and the staircase's 3 pattern checks
+    # D points lie on the G/R grid), the Wong chain at mu and the
+    # staircase's 3 pattern checks; the certificates invert nothing
     counts = {}
     _count(monkeypatch, counts, "_certified_inverse", adae.pencil)
     code = main(["analyze", "--model", "heat-wave", "--m", "10",
                  "--out", str(tmp_path)])
     assert code == 0
-    assert counts["_certified_inverse"] <= 77
+    assert counts["_certified_inverse"] == 76
 
 
 def test_analyze_index3_warns_nothing(tmp_path):
@@ -123,12 +123,12 @@ def test_parser_built_once_parses_each_command_alone(tmp_path):
 
 
 def test_solve_factors_once(tmp_path, monkeypatch):
-    # one probe-mu search, one Wong chain and one inverse of A - mu E per
+    # one probe-mu search, one Wong chain and one inverse of mu E - A per
     # solve: the staircase, G and R(mu) all come from that chain.  The other
     # inverses are the staircase's 3 pattern checks and the compressed
     # R(mu) on V_k.
     p = rlc_pencil(RLCConfig(m=10)).companion
-    shifted = p.A - adae.growth._pick_mu(p) * p.E
+    shifted = adae.growth._pick_mu(p) * p.E - p.A
     counts = {}
     _count(monkeypatch, counts, "_pick_mu", adae.growth, adae.solver)
     _count(monkeypatch, counts, "build_chain", adae.chains, adae.solver)
@@ -137,18 +137,20 @@ def test_solve_factors_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path)])
     assert code == 0
     assert counts == {"_pick_mu": 1, "build_chain": 1, "inv": 5,
-                      "inv(A - mu E)": 1}
+                      "inv(mu E - A)": 1}
 
 
 def test_demo_heat_wave_factors_once(tmp_path, monkeypatch):
-    # the restricted generator takes R(mu) from the chain, not a new inverse
+    # the restricted generator takes R(mu) from the chain, not a new inverse,
+    # and the D2 certificate inverts nothing: the chain's inverse, the
+    # staircase's 3 pattern checks and the compressed R(mu) on V_k
     p = heat_wave_pencil(HeatWaveConfig(m=5))
     counts = {}
     _count_inverses(monkeypatch, counts,
-                    p.A - adae.growth._pick_mu(p) * p.E)
+                    adae.growth._pick_mu(p) * p.E - p.A)
     code = main(["demo", "heat-wave", "--m", "5", "--out", str(tmp_path)])
     assert code == 0
-    assert counts["inv(A - mu E)"] == 1
+    assert counts == {"inv": 5, "inv(mu E - A)": 1}
 
 
 def test_solve_refuses_false_plateau(tmp_path, capsys):
@@ -169,6 +171,29 @@ def test_analyze_singular_exits_one(tmp_path, capsys):
     code = main(["analyze", "--input", str(f), "--out", str(tmp_path)])
     assert code == 1
     assert "not regular" in capsys.readouterr().err
+
+
+def test_tol_zero_is_refused(tmp_path, capsys):
+    code = main(["analyze", "--model", "rlc", "--m", "3", "--tol", "0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: rank_rel_tol must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda-min", "0"],
+    ["--lambda-max", "0.5"],
+    ["--lambda-points", "0"],
+    ["--lambda-max", "inf"],
+    ["--omega", "nan"],
+])
+def test_analyze_bad_sweep_flags_exit_one(tmp_path, capsys, flags):
+    code = main(["analyze", "--model", "rlc", "--m", "3", *flags,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_analyze_missing_file_exits_one(tmp_path, capsys):

@@ -43,6 +43,11 @@ def test_lambda_grid_validation():
         LambdaGrid(points=np.array([1.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         LambdaGrid(points=np.array([1.0, 2.0]), omega=1.5)
+    for bad in ([], [1.0, np.inf], [np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            LambdaGrid(points=np.array(bad))
+    with pytest.raises(ValueError):
+        LambdaGrid.default(lam_min=0.0)
     g = LambdaGrid.default(omega=2.0)
     assert np.all(g.points > 2.0)
 
@@ -125,6 +130,18 @@ def test_certify_D2_takes_singular_values_of_E_once(monkeypatch):
     cert = certify_D2(p)
     assert cert.verdict == "holds"
     assert sum(np.array_equal(args[0], p.E) for args in calls) == 1
+
+
+def test_certificates_invert_nothing(monkeypatch, semidiss_pencil):
+    # D1 and D2 are decided by their hypotheses alone: where they hold, no
+    # lambda is inverted and no evidence is recorded
+    inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
+    for certify, p in ((certify_D1, MatrixPencil(np.eye(2), SKEW)),
+                       (certify_D2, semidiss_pencil),
+                       (certify_D2, heat_wave_pencil(HeatWaveConfig(m=10)))):
+        c = certify(p)
+        assert c.verdict == "holds" and c.evidence == []
+    assert inv == []
 
 
 def test_certify_D2_examples(semidiss_pencil, n2_pencil):
@@ -235,16 +252,16 @@ def _sweep_reference(p, grid, kind):
 def test_report_matches_separate_estimates(lam_max):
     # the fused sweep of index_comparison_report gives, field for field
     # and bitwise, the certificates and grid-shrink warnings of separate
-    # estimate_G_index / estimate_R_index / check_Dk / certify_D1 /
-    # certify_D2 calls; its evidence norms are, bitwise, those of the
-    # pseudo-resolvents and (lam E - A)^-1 each inverted on its own, in
-    # the pencil's own dtype (float64 for the real ones)
+    # estimate_G_index / estimate_R_index / check_Dk calls; its evidence
+    # norms are, bitwise, those of the pseudo-resolvents and (lam E - A)^-1
+    # each inverted on its own, in the pencil's own dtype (float64 for the
+    # real ones)
     grid = LambdaGrid.default(lam_max=lam_max)
     shrunk = 0
     for p in _growth_corpus(grid):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            rep = index_comparison_report(p, grid, omega=0.0)
+            rep = index_comparison_report(p, grid)
         got_warn = _growth_warnings(rec)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
@@ -258,9 +275,6 @@ def test_report_matches_separate_estimates(lam_max):
                     p, r.k, LambdaGrid.default(omega=omega), side="left")
             else:
                 want["D_check"] = None
-            want["dissipativity"] = check_left_dissipativity(p, 0.0)
-            want["D1_certificate"] = certify_D1(p, 0.0)
-            want["D2_certificate"] = certify_D2(p, 0.0)
         assert got_warn == _growth_warnings(rec)
         shrunk += bool(got_warn)
         for key, cert in want.items():
@@ -307,8 +321,8 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_report_factorization_counts(monkeypatch):
     # one QZ per report, and one certified inverse per distinct lambda of
-    # every grid of the report together: the G/R grid, the D_check grid and
-    # the D1 grid (which share their points), plus the Wong chain's at mu
+    # every grid of the report together: the G/R grid and the D_check grid
+    # (which share their points), plus the Wong chain's at mu
     p = random_index_pencil(1001, 1)
     grid = LambdaGrid.default(lam_max=1e8)
     want_mu = _pick_mu(p)
@@ -316,9 +330,8 @@ def test_report_factorization_counts(monkeypatch):
     inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
     mu = _count_calls(monkeypatch, adae.growth, "_pick_mu")
     chain = _count_calls(monkeypatch, adae.growth, "build_chain")
-    rep = index_comparison_report(p, grid, omega=0.0)
+    rep = index_comparison_report(p, grid)
     assert rep["D_check"] is not None  # R_1 holds: check_Dk ran too
-    assert rep["D1_certificate"].verdict == "holds"  # D1 swept its grid
     assert len(qz) == 1
     lams = [float(args[1]) for args in inv]
     assert len(lams) == len(set(lams))
@@ -340,15 +353,14 @@ def test_report_inverts_each_lambda_once_at_k_ge_2(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inv = _count_calls(monkeypatch, adae.pencil, "_certified_inverse")
-        rep = index_comparison_report(p, grid, omega=0.0)
+        rep = index_comparison_report(p, grid)
         monkeypatch.undo()
         r = estimate_R_index(p, grid)
         d_grid = LambdaGrid.default(omega=_safe_omega(rep["qz_eigenvalues"]))
         want = {"G_index_left": estimate_G_index(p, grid, side="left"),
                 "G_index_right": estimate_G_index(p, grid, side="right"),
                 "R_index": r,
-                "D_check": check_Dk(p, r.k, d_grid, side="left"),
-                "D2_certificate": certify_D2(p, 0.0)}
+                "D_check": check_Dk(p, r.k, d_grid, side="left")}
     assert rep["D_check"].k == 2
     lams = [complex(args[1]) for args in inv]
     assert len(lams) == len(set(lams))
@@ -408,7 +420,8 @@ def test_real_sweep_matches_complex_path(make):
     # real pencils are held, and swept, in float64; a copy whose E and A
     # are complex-typed (the same values in complex128 arithmetic) gets no
     # other k, verdict or violation, and every M and evidence value within
-    # 1e-12 relative
+    # 1e-12 relative, in the report and in the dissipativity, D1 and D2
+    # certificates
     grid = CLI_GRID
     p = make()
     assert p.E.dtype == p.A.dtype == float
@@ -416,9 +429,12 @@ def test_real_sweep_matches_complex_path(make):
     q.E, q.A = p.E.astype(complex), p.A.astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        real = _report_floats(index_comparison_report(p, grid, omega=0.0))
-        cplx = _report_floats(index_comparison_report(q, grid, omega=0.0))
+        real = _report_floats(index_comparison_report(p, grid))
+        cplx = _report_floats(index_comparison_report(q, grid))
     _assert_close(real, cplx, 1e-12)
+    for certify in (check_left_dissipativity, certify_D1, certify_D2):
+        _assert_close(certify(p, 0.0).to_dict(), certify(q, 0.0).to_dict(),
+                      1e-12)
 
 
 def test_sweep_dispatch():
@@ -446,7 +462,7 @@ def test_D1_norm_is_G_left_norm_at_shared_lambda(make):
     # the D_1 check takes ||R_l(lam)|| from the G-left sweep where the two
     # grids share a lambda: the values agree bitwise there
     grid = LambdaGrid(points=np.logspace(0, 8, 48))
-    rep = index_comparison_report(make(), grid, omega=0.0)
+    rep = index_comparison_report(make(), grid)
     left = dict(rep["G_index_left"].evidence)
     d = rep["D_check"]
     assert d.k == 1

@@ -6,6 +6,7 @@ import scipy.linalg as spla
 
 from conftest import N2, random_index_pencil, random_regular_pencil
 from adae.exceptions import GridTooCoarse, NotInResolventSet
+from adae.models import HeatWaveConfig, heat_wave_pencil
 from adae.numerics import norm2
 from adae.pencil import (
     _INV_RESIDUAL_TOL,
@@ -170,6 +171,21 @@ def test_pseudo_resolvent_reduces_to_resolvent(ode_pencil):
     assert np.allclose(pseudo_resolvent(ode_pencil, lam, "right"), expected)
     with pytest.raises(ValueError):
         pseudo_resolvent(ode_pencil, lam, "middle")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: heat_wave_pencil(HeatWaveConfig(m=4)),
+    lambda: random_index_pencil(1001, 2),
+], ids=["real", "complex"])
+def test_pseudo_resolvent_is_bitwise_from_A_minus_lam_E(make):
+    # reference: the definitions R_l = E (A - lam E)^-1 and
+    # R_r = (A - lam E)^-1 E, inverted directly; the pseudo-resolvents are
+    # built from the inverse of lam E - A, negated, and agree bit for bit
+    p = make()
+    for lam in (0.7, 3.1, 250.0, 2.0 + 1.5j):
+        G = spla.inv(p.A - lam * p.E)
+        assert pseudo_resolvent(p, lam, "left").tobytes() == (p.E @ G).tobytes()
+        assert pseudo_resolvent(p, lam, "right").tobytes() == (G @ p.E).tobytes()
 
 
 def test_resolvent_identity_hand_examples(ode_pencil, n2_pencil, diag_pencil):

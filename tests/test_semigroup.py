@@ -34,6 +34,16 @@ def test_evaluate_zero_semigroup(semidiss_pencil):
     assert np.allclose(evaluate(tr, 2.0), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("E, A, dtype", [
+    (np.zeros((3, 3)), np.eye(3), np.float64),  # V_k = {0}
+    (np.diag([1.0, 0.0]), -np.eye(2), np.float64),
+    (np.zeros((2, 2)), (1.0 + 1.0j) * np.eye(2), np.complex128),
+])
+def test_evaluate_keeps_the_pencil_dtype(E, A, dtype):
+    tr = degenerate_semigroup(MatrixPencil(E, A), 0.0)
+    assert evaluate(tr, 0.5).dtype == dtype
+
+
 def test_semigroup_law():
     p = random_index_pencil(60, 2)
     tr = degenerate_semigroup(p, 0.4, side="left")
