@@ -18,7 +18,7 @@ from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
 from .growth import (
     LambdaGrid,
-    certify_D1,
+    _certify_D1,
     certify_D2,
     check_left_dissipativity,
     index_comparison_report,
@@ -81,7 +81,7 @@ def _build_parser():
     sp.add_argument("--cross-check", action="store_true")
 
     sp = sub.add_parser("demo", help="run a packaged demonstration")
-    sp.add_argument("name", choices=["heat-wave", "rlc", "weierstrass"])
+    sp.add_argument("name", choices=list(_DEMOS))
     sp.add_argument("--m", type=int, default=25)
     sp.add_argument("--index", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
@@ -164,6 +164,7 @@ def cmd_analyze(args):
         yimp = y_impli_check(p)
     except AdaeError:
         yimp = None
+    diss = check_left_dissipativity(p, args.omega)
     out = {
         "shape": list(p.shape),
         "regular": bool(p.regular),
@@ -182,8 +183,8 @@ def cmd_analyze(args):
         "qz_eigenvalues": [
             None if e == np.inf else [e.real, e.imag]
             for e in rep["qz_eigenvalues"]],
-        "dissipativity": check_left_dissipativity(p, args.omega).to_dict(),
-        "D1_certificate": certify_D1(p, args.omega).to_dict(),
+        "dissipativity": diss.to_dict(),
+        "D1_certificate": _certify_D1(p, diss).to_dict(),
         "D2_certificate": certify_D2(p, args.omega).to_dict(),
         "y_impli": yimp,
         "violations": rep["violations"],
@@ -267,8 +268,7 @@ def _write_demo_outputs(out, p, rep):
     return energy
 
 
-def _demo_heat_wave(args):
-    p = heat_wave_pencil(HeatWaveConfig(m=args.m))
+def _demo_heat_wave(args, p):
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(p.n)
     t_grid = np.linspace(0.0, args.tf, args.steps + 1)
@@ -287,8 +287,7 @@ def _demo_heat_wave(args):
     return 0
 
 
-def _demo_rlc(args):
-    model = rlc_pencil(RLCConfig(m=args.m))
+def _demo_rlc(args, model):
     p = model.companion
     t_grid = np.linspace(0.0, args.tf, args.steps + 1)
     if args.lossless:
@@ -317,9 +316,8 @@ def _demo_rlc(args):
     return 0
 
 
-def _demo_weierstrass(args):
-    spec = _weierstrass_spec(args.index, args.seed)
-    p, true_index = weierstrass_pencil(spec)
+def _demo_weierstrass(args, model):
+    p, true_index = model
     rep = index_comparison_report(p)
     g_k = rep["G_index_left"].k
     out = {
@@ -336,23 +334,30 @@ def _demo_weierstrass(args):
     return 2 if rep["violations"] else 0
 
 
+# demo name -> (model from the command's options, demo run on it)
+_DEMOS = {
+    "heat-wave": (lambda a: heat_wave_pencil(HeatWaveConfig(m=a.m)),
+                  _demo_heat_wave),
+    "rlc": (lambda a: rlc_pencil(RLCConfig(m=a.m)), _demo_rlc),
+    "weierstrass": (lambda a: weierstrass_pencil(
+        _weierstrass_spec(a.index, a.seed)), _demo_weierstrass),
+}
+
+
 def cmd_demo(args):
     os.makedirs(args.out, exist_ok=True)
+    build, run = _DEMOS[args.name]
+    model = _read_input(build, args)
+    if model is None:
+        return 1
     try:
-        if args.name == "heat-wave":
-            return _demo_heat_wave(args)
-        if args.name == "rlc":
-            return _demo_rlc(args)
-        if args.name == "weierstrass":
-            return _demo_weierstrass(args)
+        return run(args, model)
     except InsufficientSmoothness as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except AdaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"error: unknown demo {args.name}", file=sys.stderr)
-    return 1
 
 
 def cmd_generate(args):

@@ -388,12 +388,16 @@ def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     ||E (A - lambda E)^-1|| <= 1/(lambda - omega).  The verdict comes from
     these hypotheses alone; check_Dk measures the constant on a grid.
     """
-    diss = check_left_dissipativity(p, omega)
+    return _certify_D1(p, check_left_dissipativity(p, omega))
+
+
+def _certify_D1(p, diss):
+    """certify_D1 at diss.omega, given check_left_dissipativity there."""
     if diss.verdict != "holds":
         failure = "dissipativity fails: " + diss.detail
     else:
-        failure = _prerequisite_failure(p, omega)
-    return GrowthCertificate("D1-cert", 1, omega, 1.0,
+        failure = _prerequisite_failure(p, diss.omega)
+    return GrowthCertificate("D1-cert", 1, diss.omega, 1.0,
                              "fails" if failure else "holds",
                              detail=failure or "")
 

@@ -3,7 +3,10 @@
 All matrices are dense ``numpy`` arrays, float64 or complex128: ``as_matrix``
 makes that choice once, where data enters (float64 when the input has no
 imaginary part), and numpy carries the dtype from there, so a real pencil is
-factored in real arithmetic end to end.  Subspaces are stored as orthonormal
+factored in real arithmetic end to end.  The QZ oracle follows the same rule:
+a real pencil takes the real generalized Schur form, whose S is only
+quasi-triangular (2x2 blocks for complex-conjugate pairs), a complex pencil
+the complex one.  Subspaces are stored as orthonormal
 basis matrices; rank decisions go through a single relative threshold so
 that downstream modules share one notion of "numerically zero".
 
@@ -264,6 +267,12 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     infinite part) and the nilpotency index of the infinite-eigenvalue block,
     i.e. the Kronecker index of the pencil.  Entirely independent of the
     pseudo-resolvent machinery, so usable as a cross-check oracle.
+
+    A real pencil takes the real generalized Schur form (ordqz with
+    output="real"), a complex one (E or A complex) the complex form; only
+    the dtype of the pencil decides.  In the real form S is quasi-triangular,
+    with a 2x2 block for each complex-conjugate pair, so the trailing block
+    S22 is inverted by a general solve.
     """
     E = as_matrix(E)
     A = as_matrix(A)
@@ -283,12 +292,17 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     normA = max(norm2(A), np.finfo(float).tiny)
     cutoff = 1e3
 
+    # both members of a conjugate pair of the real form have the same
+    # |alpha| and beta, so the same z: the sort keeps a 2x2 block whole, on
+    # one side of the cut, also when the scatter of a nilpotent block of
+    # size >= 3 pairs infinite eigenvalues into one
     def finite(alpha, beta):
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(alpha) * normE / (np.abs(beta) * normA)
         return (np.abs(beta) > 0) & (np.nan_to_num(z, nan=np.inf) <= cutoff)
 
-    S, T, alpha, beta, _, _ = spla.ordqz(A, E, sort=finite, output="complex")
+    output = "real" if np.result_type(E, A) == float else "complex"
+    S, T, alpha, beta, _, _ = spla.ordqz(A, E, sort=finite, output=output)
     eigs = []
     n_inf = 0
     for a_i, b_i in zip(alpha, beta):
@@ -302,14 +316,15 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
 
     # trailing block carries the infinite eigenvalues: S22 invertible,
     # T22 (quasi-)nilpotent; the index is the nilpotency index of S22^-1 T22.
-    # Powers of N are compared against an absolute floor set by the QZ
-    # backward error (eps * ||T||, amplified by S22^-1); a relative rank test
-    # would mistake that noise for structure.
+    # S22 is only quasi-triangular in the real form, so one general solve
+    # gives S22^-1 and N together.  Powers of N are compared against an
+    # absolute floor set by the QZ backward error (eps * ||T||, amplified by
+    # S22^-1); a relative rank test would mistake that noise for structure.
     S22 = S[n - n_inf:, n - n_inf:]
     T22 = T[n - n_inf:, n - n_inf:]
-    Sinv_norm = norm2(spla.solve_triangular(
-        S22, np.eye(n_inf, dtype=complex)))
-    N = np.triu(spla.solve_triangular(S22, T22), 1)
+    X = np.linalg.solve(S22, np.hstack([np.eye(n_inf), T22]))
+    Sinv_norm = norm2(X[:, :n_inf])
+    N = X[:, n_inf:]
     floor = 100.0 * n * np.finfo(float).eps * Sinv_norm * norm2(T)
     gain = max(1.0, norm2(N))
     idx = 1

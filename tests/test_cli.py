@@ -87,6 +87,21 @@ def test_analyze_heat_wave_inverts_once_per_lambda(tmp_path, monkeypatch):
     assert counts["_certified_inverse"] == 76
 
 
+def test_analyze_heat_wave_solves_dissipativity_once(tmp_path, monkeypatch):
+    # Herm(E^H A) - omega E^H E is solved once and serves the dissipativity
+    # key and the D1 certificate; certify_D2 solves for E and A - omega E
+    counts = {}
+    _count(monkeypatch, counts, "eigvalsh", spla)
+    code = main(["analyze", "--model", "heat-wave", "--m", "10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert counts == {"eigvalsh": 3}
+    rep = json.loads((tmp_path / "report.json").read_text())
+    diss, d1 = rep["dissipativity"], rep["D1_certificate"]
+    assert diss["verdict"] == d1["verdict"] == "fails"
+    assert d1["detail"] == "dissipativity fails: " + diss["detail"]
+
+
 def test_analyze_index3_warns_nothing(tmp_path):
     # lam E - A of an index-3 pencil is ill-conditioned at large lam; the
     # residual gate accepts those inverses, and scipy's rcond warning is not
@@ -321,6 +336,17 @@ def test_demo_weierstrass_indices_agree(tmp_path):
                 "tractability_index", "R_index", "G_index"):
         assert rep[key] == 3
     assert rep["violations"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["heat-wave", "--m", "0"], "need m >= 4"),
+    (["weierstrass", "--index", "-1"], "nilpotent block sizes must be >= 1"),
+])
+def test_demo_bad_model_config_exits_one(tmp_path, capsys, argv, message):
+    code = main(["demo", *argv, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_demo_heat_wave_energy_nonincreasing(tmp_path):

@@ -3,6 +3,13 @@ import pytest
 import scipy.linalg as spla
 
 from adae.exceptions import SingularPencil
+from adae.models import (
+    HeatWaveConfig,
+    RLCConfig,
+    WeierstrassSpec,
+    heat_wave_pencil,
+    rlc_pencil,
+)
 from adae.numerics import (
     Subspace,
     TolerancePolicy,
@@ -207,3 +214,91 @@ def test_qz_index_survives_transforms():
         p = random_index_pencil(500 + k, k)
         _, got = qz_canonical(p.E, p.A, p.pol)
         assert got == k
+
+
+def _real_weierstrass(spec):
+    """The canonical form of `spec` under real Gaussian transforms W, T
+    drawn from its seed: a real pencil with index spec.true_index
+    (weierstrass_pencil's transforms are complex)."""
+    ode, blocks = spec.ode_eigenvalues, spec.nilpotent_block_sizes
+    E = spla.block_diag(np.eye(len(ode)), *[np.eye(b, k=1) for b in blocks])
+    A = spla.block_diag(np.diag(ode), *[np.eye(b) for b in blocks])
+    T, W = np.random.default_rng(spec.transform_seed).standard_normal(
+        (2,) + E.shape)
+    return W @ E @ T, W @ A @ T, spec.true_index
+
+
+def _complex_qz_finite(E, A):
+    """Finite eigenvalues of (E, A) from the complex generalized Schur form,
+    split off by qz_canonical's magnitude cut."""
+    S, T, _, _ = spla.qz(A.astype(complex), E.astype(complex),
+                         output="complex")
+    alpha, beta = np.diag(S), np.diag(T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(alpha) * norm2(E) / (np.abs(beta) * norm2(A))
+    keep = (np.abs(beta) > 0) & (np.nan_to_num(z, nan=np.inf) <= 1e3)
+    return alpha[keep] / beta[keep]
+
+
+def _nearest_first(got, want):
+    """Pairs (g, w) matching got to want closest pair first, so that the
+    order inside conjugate pairs does not matter."""
+    d = np.abs(got[:, None] - want[None, :])
+    pairs = []
+    for _ in range(len(got)):
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        pairs.append((got[i], want[j]))
+        d[i, :] = d[:, j] = np.inf
+    return pairs
+
+
+def _qz_cases():
+    for m in (10, 25):
+        p = heat_wave_pencil(HeatWaveConfig(m=m))
+        yield f"heat-wave m={m}", p.E, p.A, 1
+    for m in (8, 12):
+        p = rlc_pencil(RLCConfig(m=m)).companion
+        yield f"rlc m={m}", p.E, p.A, 2
+    for blocks in ((1,), (2,), (3,), (2, 1), (3, 1), (4,)):
+        for ode in ((), (-1.0, -2.0, 0.5)):
+            for seed in range(4):
+                spec = WeierstrassSpec(ode, blocks, seed)
+                yield (repr(spec),) + _real_weierstrass(spec)
+
+
+def test_real_pencils_take_the_real_qz(monkeypatch):
+    # a real pencil takes the real generalized Schur form and keeps the
+    # Kronecker index and, as a multiset, the finite eigenvalues of the
+    # complex form
+    outputs = []
+    ordqz = spla.ordqz
+
+    def watched(*args, output, **kwargs):
+        outputs.append(output)
+        return ordqz(*args, output=output, **kwargs)
+    monkeypatch.setattr(spla, "ordqz", watched)
+    for name, E, A, index in _qz_cases():
+        assert E.dtype == A.dtype == float, name
+        eigs, k = qz_canonical(E, A)
+        assert k == index, name
+        got = np.array([e for e in eigs if e != np.inf], dtype=complex)
+        want = _complex_qz_finite(E, A)
+        assert len(got) == len(want), name
+        for g, w in _nearest_first(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (name, g, w)
+    assert set(outputs) == {"real"}
+    _, k = qz_canonical(np.eye(2, dtype=complex), 1j * np.eye(2))
+    assert k == 0 and outputs[-1] == "complex"
+
+
+def test_real_qz_keeps_a_paired_infinite_block_whole():
+    # the eps^(-1/3) scatter of this index-3 block leaves a conjugate pair
+    # of infinite eigenvalues in a 2x2 block of the real Schur form; the
+    # sort keeps the pair together, inside the trailing block
+    E, A, index = _real_weierstrass(WeierstrassSpec((), (3,), 0))
+    S, _, alpha, _, _, _ = spla.ordqz(A, E, output="real", sort=lambda a, b:
+                                      np.zeros(a.shape, dtype=bool))
+    assert np.count_nonzero(np.diag(S, -1)) == 1
+    assert np.count_nonzero(alpha.imag) == 2
+    eigs, k = qz_canonical(E, A)
+    assert k == index == 3 and all(e == np.inf for e in eigs)

@@ -5,13 +5,11 @@ LAPACK entry points during real-model commands."""
 import ast
 import functools
 import pathlib
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as spla
 
-import adae.numerics
 from adae.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "adae"
@@ -153,28 +151,21 @@ def test_scan_sees_the_package():
 
 
 _LAPACK = [(spla, name) for name in ("inv", "svd", "svdvals", "expm",
-                                     "lu_factor", "lu_solve", "eigvalsh")]
+                                     "lu_factor", "lu_solve", "eigvalsh",
+                                     "ordqz")]
 _LAPACK.append((np.linalg, "eigvalsh"))
-
-
-def _in_qz():
-    qz = adae.numerics.qz_canonical.__code__
-    f = sys._getframe(2)
-    while f is not None and f.f_code is not qz:
-        f = f.f_back
-    return f is not None
 
 
 def _watch_lapack(monkeypatch):
     """Wrap the entry points; returns (calls by name, complex-typed arrays
-    with no imaginary part that reached them outside qz_canonical)."""
+    with no imaginary part that reached them)."""
     calls, bad = {}, []
     for owner, name in _LAPACK:
         def watched(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             for a in args:
                 if (isinstance(a, np.ndarray) and np.iscomplexobj(a)
-                        and a.size and not np.any(a.imag) and not _in_qz()):
+                        and a.size and not np.any(a.imag)):
                     bad.append((_name, a.shape))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, functools.wraps(
@@ -185,9 +176,9 @@ def _watch_lapack(monkeypatch):
 def test_real_models_reach_lapack_in_real_arithmetic(tmp_path, monkeypatch):
     # the real/complex decision is made once, where data enters: the
     # heat-wave and RLC pencils are real, so no complex-typed array whose
-    # imaginary part is all zero reaches LAPACK, except the QZ oracle's
-    # complex Schur factors.  Real forcing and x0 keep both solve paths
-    # real too, and implicit Euler solves with its LU twice, not per step
+    # imaginary part is all zero reaches LAPACK, the QZ oracle's included.
+    # Real forcing and x0 keep both solve paths real too, and implicit
+    # Euler solves with its LU twice, not per step
     calls, bad = _watch_lapack(monkeypatch)
     spla.inv(np.eye(2, dtype=complex))  # the watch sees such an array
     assert bad == [("inv", (2, 2))]
