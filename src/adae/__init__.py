@@ -42,6 +42,7 @@ from .growth import (
     LambdaGrid,
     TractabilityChain,
     certify_D1,
+    certify_D1_from,
     certify_D2,
     check_Dk,
     check_left_dissipativity,

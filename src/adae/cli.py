@@ -18,7 +18,7 @@ from .exceptions import AdaeError, InsufficientSmoothness
 from .forcing import PolynomialForcing, SampledForcing
 from .growth import (
     LambdaGrid,
-    _certify_D1,
+    certify_D1_from,
     certify_D2,
     check_left_dissipativity,
     index_comparison_report,
@@ -184,7 +184,7 @@ def cmd_analyze(args):
             None if e == np.inf else [e.real, e.imag]
             for e in rep["qz_eigenvalues"]],
         "dissipativity": diss.to_dict(),
-        "D1_certificate": _certify_D1(p, diss).to_dict(),
+        "D1_certificate": certify_D1_from(p, diss).to_dict(),
         "D2_certificate": certify_D2(p, args.omega).to_dict(),
         "y_impli": yimp,
         "violations": rep["violations"],

@@ -44,6 +44,7 @@ __all__ = [
     "check_Dk",
     "check_left_dissipativity",
     "certify_D1",
+    "certify_D1_from",
     "certify_D2",
     "tractability_chain",
     "index_comparison_report",
@@ -388,11 +389,13 @@ def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     ||E (A - lambda E)^-1|| <= 1/(lambda - omega).  The verdict comes from
     these hypotheses alone; check_Dk measures the constant on a grid.
     """
-    return _certify_D1(p, check_left_dissipativity(p, omega))
+    return certify_D1_from(p, check_left_dissipativity(p, omega))
 
 
-def _certify_D1(p, diss):
-    """certify_D1 at diss.omega, given check_left_dissipativity there."""
+def certify_D1_from(p: MatrixPencil, diss: GrowthCertificate
+                    ) -> GrowthCertificate:
+    """certify_D1 at diss.omega, from the check_left_dissipativity result
+    there, for a caller that has it already (no second eigensolve)."""
     if diss.verdict != "holds":
         failure = "dissipativity fails: " + diss.detail
     else:

@@ -260,6 +260,29 @@ def expm(m) -> np.ndarray:
     return spla.expm(a)
 
 
+def _nilpotent_part(N, sub):
+    """N, block upper triangular like the S22 whose subdiagonal is `sub`,
+    with the eigenvalues of its diagonal blocks moved to 0.
+
+    The diagonal of N = S22^-1 T22 holds beta/alpha: the scatter of the
+    infinite eigenvalues, but also up to 1e-3 of N's scale for a large
+    finite eigenvalue beyond the cut, and powers of N would not drop at the
+    index.  A 1x1 block becomes 0, so the complex form (sub all zero) gets
+    np.triu(N, 1).  A 2x2 block of the real form is c I + [[p, h], [h, -p]]
+    + [[0, w], [-w, 0]]; it keeps p and h and gets w of size hypot(p, h).
+    That block is real, nilpotent and of Frobenius norm 2 hypot(p, h), the
+    off-diagonal entry of its complex Schur form, which np.triu keeps: a
+    link of the Jordan chain stays, a rotation by a conjugate pair goes.
+    """
+    out = np.triu(N, 1)
+    for i in np.flatnonzero(sub):
+        (a, b), (c, d) = N[i:i + 2, i:i + 2]
+        p, h = (a - d) / 2, (b + c) / 2
+        w = np.copysign(np.hypot(p, h), b - c)
+        out[i:i + 2, i:i + 2] = [[p, h + w], [h - w, -p]]
+    return out
+
+
 def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     """Generalized-Schur oracle for a regular square pencil lam*E - A.
 
@@ -315,16 +338,17 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
         return eigs, 0
 
     # trailing block carries the infinite eigenvalues: S22 invertible,
-    # T22 (quasi-)nilpotent; the index is the nilpotency index of S22^-1 T22.
-    # S22 is only quasi-triangular in the real form, so one general solve
-    # gives S22^-1 and N together.  Powers of N are compared against an
-    # absolute floor set by the QZ backward error (eps * ||T||, amplified by
-    # S22^-1); a relative rank test would mistake that noise for structure.
+    # T22 (quasi-)nilpotent; the index is the nilpotency index of the
+    # nilpotent part of S22^-1 T22.  S22 is only quasi-triangular in the
+    # real form, so one general solve gives S22^-1 and N together.  Powers
+    # of N are compared against an absolute floor set by the QZ backward
+    # error (eps * ||T||, amplified by S22^-1); a relative rank test would
+    # mistake that noise for structure.
     S22 = S[n - n_inf:, n - n_inf:]
     T22 = T[n - n_inf:, n - n_inf:]
     X = np.linalg.solve(S22, np.hstack([np.eye(n_inf), T22]))
     Sinv_norm = norm2(X[:, :n_inf])
-    N = X[:, n_inf:]
+    N = _nilpotent_part(X[:, n_inf:], np.diagonal(S22, -1))
     floor = 100.0 * n * np.finfo(float).eps * Sinv_norm * norm2(T)
     gain = max(1.0, norm2(N))
     idx = 1
