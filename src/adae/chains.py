@@ -31,9 +31,11 @@ from .numerics import (
     null_basis,
     orthonormal_complement,
     range_basis,
+    rank_from_svals,
     rank_with_tol,
     subspace_distance,
     subspace_intersection,
+    svd,
     svdvals,
 )
 from .pencil import (
@@ -83,9 +85,6 @@ class SubspaceChain:
         dims = [v.dim for v in self.V]
         return [dims[k]] + [dims[j - 1] - dims[j] for j in range(k, 0, -1)]
 
-    def stabilized(self) -> bool:
-        return self.stabilization_k is not None
-
 
 def build_chain(p: MatrixPencil, mu: complex,
                 side: str = "left") -> SubspaceChain:
@@ -112,14 +111,28 @@ def build_chain(p: MatrixPencil, mu: complex,
     for j in range(n + 1):
         V.append(range_basis(R @ V[j].basis, pol))
         # ker R^{j+1} = preimage of ker R^j under R
-        Pw = W[j].projector()
-        W.append(null_basis((np.eye(n) - Pw) @ R, pol))
+        Wj = W[j].basis
+        W.append(null_basis(R - Wj @ (Wj.conj().T @ R), pol))
         consistent = consistent and V[j + 1].dim + W[j + 1].dim == n
         if (consistent and subspace_distance(V[j], V[j + 1]) < tol
                 and subspace_distance(W[j], W[j + 1]) < tol):
             chain.stabilization_k = j
             break
     return chain
+
+
+def _pick_mu(p: MatrixPencil) -> float:
+    """Best-conditioned probe mu among a few moderate real values."""
+    best, best_s = None, -1.0
+    for mu in (0.0, 1.0, 2.37, 5.11, -1.3, 7.9):
+        s = svdvals(p.A - mu * p.E)
+        if s.size == 0:
+            return 0.0
+        if s[-1] > best_s:
+            best, best_s = mu, s[-1]
+    if best_s <= p.pol.rank_rel_tol * p.norm_scale() * p.n:
+        raise NotInResolventSet(best, "no usable probe mu found")
+    return best
 
 
 def check_decomposition(chain: SubspaceChain, pol=DEFAULT_POLICY):
@@ -130,9 +143,9 @@ def check_decomposition(chain: SubspaceChain, pol=DEFAULT_POLICY):
     smallest singular value of the part of W_k orthogonal to V_k: a sine
     from the largest cosine, sqrt(1 - cos^2), loses all digits below ~1e-8.
     """
-    if not chain.stabilized():
-        raise ChainNotStabilized("no stabilization index available")
     k = chain.stabilization_k
+    if k is None:
+        raise ChainNotStabilized("no stabilization index available")
     Vk, Wk = chain.V[k], chain.W[k]
     n = chain.ambient_dim
     if Vk.dim + Wk.dim != n:
@@ -294,18 +307,16 @@ def y_impli_check(p: MatrixPencil):
 
     Requires 0 in the resolvent set (checked via rank of A).  When true, the
     restriction of E A^-1 to ran E has an operator graph; reported alongside.
+    ker E and the orthogonal complement of ran E come from one SVD of E.
     """
     if rank_with_tol(p.A, p.pol) < p.n:
         raise NotInResolventSet(0, "A is singular")
-    kerE = null_basis(p.E, p.pol)
-    if kerE.dim == 0:
+    u, s, vh = svd(p.E)
+    r = rank_from_svals(s, p.E.shape, p.pol)
+    if r == p.n:  # ker E = {0}
         return True
-    ranE = range_basis(p.E, p.pol)
-    # {y : A y in ran E} = preimage, computed from the complement of ran E
-    comp = orthonormal_complement(ranE, pol=p.pol)
-    if comp.dim == 0:
-        pre = Subspace.full(p.n)
-    else:
-        pre = null_basis(comp.basis.conj().T @ p.A, p.pol)
-    inter = subspace_intersection(kerE, pre, p.pol)
-    return inter.dim == 0
+    kerE = Subspace(p.n, vh[r:].conj().T)
+    # {y : A y in ran E} = preimage: the kernel of the complement's rows
+    # against A (not empty, as E has at least as many rows as columns)
+    pre = null_basis(u[:, r:].conj().T @ p.A, p.pol)
+    return subspace_intersection(kerE, pre, p.pol).dim == 0

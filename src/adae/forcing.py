@@ -69,17 +69,17 @@ class PolynomialForcing(ForcingSignal):
         self.dim = dims.pop()
 
     @classmethod
-    def from_coeffs(cls, coeffs, t_f, t_0=0.0):
-        """Single-piece polynomial on [t_0, t_f]."""
-        return cls([t_0, t_f], [coeffs])
+    def from_coeffs(cls, coeffs, t_f):
+        """Single-piece polynomial on [0, t_f]."""
+        return cls([0.0, t_f], [coeffs])
 
     @classmethod
-    def constant(cls, vec, t_f, t_0=0.0):
-        return cls([t_0, t_f], [np.reshape(vec, (-1, 1))])
+    def constant(cls, vec, t_f):
+        return cls.from_coeffs(np.reshape(vec, (-1, 1)), t_f)
 
     @classmethod
-    def zero(cls, dim, t_f, t_0=0.0):
-        return cls.constant(np.zeros(dim), t_f, t_0)
+    def zero(cls, dim, t_f):
+        return cls.constant(np.zeros(dim), t_f)
 
     def piece_index(self, t):
         i = int(np.searchsorted(self.breakpoints, t, side="right") - 1)

@@ -20,7 +20,7 @@ from math import ceil
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import build_chain
+from .chains import _pick_mu, build_chain
 from .exceptions import ChainStalled, NotInResolventSet
 from .numerics import (
     Subspace,
@@ -29,8 +29,8 @@ from .numerics import (
     qz_canonical,
     range_basis,
     rank_from_svals,
-    rank_with_tol,
     subspace_intersection,
+    svd,
     svdvals,
 )
 from .pencil import MatrixPencil, _side_product, pseudo_resolvent, resolvent_at
@@ -368,18 +368,19 @@ def check_left_dissipativity(p: MatrixPencil, omega: float = 0.0) -> GrowthCerti
                              detail=f"lambda_max(Herm(E^H A) - w E^H E) = {lam_max:.3e}")
 
 
-def _prerequisite_failure(p, omega):
+def _prerequisite_failure(p):
     """The first failing prerequisite shared by the D certificates, trivial
-    ker E /\\ ker A and a full-rank probe lambda0 E - A, or None."""
+    ker E /\\ ker A and a surjective lambda0 E - A for some lambda0 > omega,
+    or None.  A square pencil has such a lambda0 exactly when det(lambda E
+    - A) is not identically zero, which is p.regular."""
     kerE = null_basis(p.E, p.pol)
     kerA = null_basis(p.A, p.pol)
     if (kerE.dim and kerA.dim
             and subspace_intersection(kerE, kerA, p.pol).dim):
         return "ker E and ker A intersect nontrivially"
-    for lam0 in (omega + 1.0, omega + 3.7, omega + 11.3):
-        if rank_with_tol(lam0 * p.E - p.A, p.pol) == p.n:
-            return None
-    return "no full-rank probe lambda0 > omega found"
+    if not p.regular:
+        return "no full-rank probe lambda0 > omega found"
+    return None
 
 
 def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
@@ -399,7 +400,7 @@ def certify_D1_from(p: MatrixPencil, diss: GrowthCertificate
     if diss.verdict != "holds":
         failure = "dissipativity fails: " + diss.detail
     else:
-        failure = _prerequisite_failure(p, diss.omega)
+        failure = _prerequisite_failure(p)
     return GrowthCertificate("D1-cert", 1, diss.omega, 1.0,
                              "fails" if failure else "holds",
                              detail=failure or "")
@@ -427,7 +428,7 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
     if lam_max > p.pol.residual_tol * (p.norm_A + scale):
         return fails("A - omega E is not dissipative")
-    failure = _prerequisite_failure(p, omega)
+    failure = _prerequisite_failure(p)
     if failure:
         return fails(failure)
     svals = svdvals(p.E)
@@ -449,41 +450,29 @@ def _oblique_projector(onto: Subspace, must_contain: Subspace, pol):
     """Projector with range `onto`, kernel containing `must_contain`.
 
     The kernel is must_contain extended by orthogonal directions until it
-    complements `onto` (oblique only where the data forces it).
+    complements `onto` (oblique only where the data forces it): the
+    trailing left singular vectors of [onto, must_contain], from one SVD.
+    With T = [onto, kernel] it is onto inv(T)[:dim onto].
     """
-    n = onto.ambient_dim
-    r = onto.dim
-    if r == 0:
-        return np.zeros((n, n))
-    # candidate kernel directions: the given ones, then the orthogonal
-    # complement of (onto + must_contain)
-    cand = [must_contain.basis] if must_contain.dim else []
-    span = range_basis(np.hstack([onto.basis] + cand) if cand else onto.basis, pol)
-    extra = null_basis(span.basis.conj().T, pol)  # orthogonal complement
-    kernel_cols = ([must_contain.basis] if must_contain.dim else []) + \
-        ([extra.basis] if extra.dim else [])
-    K = np.hstack(kernel_cols) if kernel_cols else np.zeros((n, 0))
-    K = range_basis(K, pol).basis
-    if K.shape[1] != n - r:
+    M = np.hstack([onto.basis, must_contain.basis])
+    u, s, _ = svd(M)
+    K = np.hstack([must_contain.basis, u[:, rank_from_svals(s, M.shape, pol):]])
+    if onto.dim + K.shape[1] != onto.ambient_dim:
         raise ChainStalled(
             "kernel extension does not complement the projector range")
-    T = np.hstack([onto.basis, K])
-    D = np.zeros((n, n))
-    D[:r, :r] = np.eye(r)
-    return T @ D @ spla.inv(T)
+    return onto.basis @ spla.inv(np.hstack([onto.basis, K]))[:onto.dim]
 
 
-def tractability_chain(p: MatrixPencil, max_stages: int | None = None) -> TractabilityChain:
-    """Projector chain E_{i+1} = E_i - A_i Q_i, A_{i+1} = A_i P_i."""
+def tractability_chain(p: MatrixPencil) -> TractabilityChain:
+    """Projector chain E_{i+1} = E_i - A_i Q_i, A_{i+1} = A_i P_i, for at
+    most n + 1 stages."""
     if not p.is_square:
         raise ValueError("tractability chain requires a square pencil")
     n = p.n
-    if max_stages is None:
-        max_stages = n + 1
     E_i, A_i = p.E.copy(), p.A.copy()
     stages = []
     seen_kernels = []
-    for i in range(max_stages):
+    for i in range(n + 1):
         N_i = null_basis(E_i, p.pol)
         if N_i.dim == 0:
             return TractabilityChain(stages=stages, index=i)
@@ -576,22 +565,6 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
         }
     finally:
         _SHARED_SWEEP.reset(token)
-
-
-def _pick_mu(p, candidates=(0.0, 1.0, 2.37, 5.11, -1.3, 7.9)):
-    """Best-conditioned probe mu among a few moderate real values."""
-    best, best_s = None, -1.0
-    for mu in candidates:
-        m = p.A - mu * p.E
-        s = svdvals(m)
-        if s.size == 0:
-            return 0.0
-        if s[-1] > best_s:
-            best, best_s = mu, s[-1]
-    scale = p.norm_scale()
-    if best_s <= p.pol.rank_rel_tol * scale * p.n:
-        raise NotInResolventSet(best, "no usable probe mu found")
-    return best
 
 
 def _safe_omega(eigs):

@@ -189,25 +189,22 @@ def null_basis(m, pol: TolerancePolicy = DEFAULT_POLICY) -> Subspace:
 def subspace_distance(u: Subspace, v: Subspace) -> float:
     """Gap metric: the largest principal-angle sine between two subspaces.
 
-    Computed as the spectral norm of the projector difference; subspaces of
-    unequal dimension are at distance exactly 1, with no factorization.
+    For equal dimensions ||P_u - P_v||_2 = ||(I - P_v) U||_2, which is
+    inclusion_distance; subspaces of unequal dimension are at distance
+    exactly 1, with no factorization.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
     if u.dim != v.dim:
         return 1.0
-    if u.dim == 0:
-        return 0.0
-    d = norm2(u.projector() - v.projector())
-    return float(min(d, 1.0))
+    return float(min(inclusion_distance(u, v), 1.0))
 
 
 def inclusion_distance(u: Subspace, v: Subspace) -> float:
     """How far u is from being contained in v: max sine over directions of u."""
     if u.dim == 0:
         return 0.0
-    resid = u.basis - v.projector() @ u.basis
-    return norm2(resid)
+    return norm2(u.basis - v.basis @ (v.basis.conj().T @ u.basis))
 
 
 def subspace_intersection(u: Subspace, v: Subspace,

@@ -54,9 +54,9 @@ class MatrixPencil:
     """Pair (E, A) of matrices sharing dimensions and one dtype: float64
     when neither has an imaginary part, complex128 otherwise.
 
-    Square pencils get an eager regularity probe (rank of lam*E - A at
-    pseudo-random lambda); rectangular pencils (more rows than columns,
-    boundary-row structure from the models module) skip it.
+    `regular` is the regularity probe (rank of lam*E - A at pseudo-random
+    lambda), taken on first use; rectangular pencils (more rows than
+    columns, boundary-row structure from the models module) read None.
     """
 
     def __init__(self, E, A, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -69,9 +69,6 @@ class MatrixPencil:
         if self.E.shape[0] < self.E.shape[1]:
             raise ValueError("pencils with fewer rows than columns unsupported")
         self.pol = pol
-        self.regular = None
-        if self.is_square:
-            self.regular = probe_regularity(self.E, self.A, pol)
 
     @property
     def shape(self):
@@ -94,6 +91,12 @@ class MatrixPencil:
     @cached_property
     def norm_A(self) -> float:
         return norm2(self.A)
+
+    @cached_property
+    def regular(self) -> bool | None:
+        """Is det(lam E - A) not identically zero?  None when not square."""
+        if self.is_square:
+            return probe_regularity(self.E, self.A, self.pol)
 
     def norm_scale(self) -> float:
         return max(self.norm_E, self.norm_A, 1.0)

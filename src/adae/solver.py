@@ -27,14 +27,18 @@ from math import comb
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import build_chain, compressed_inverse, staircase_from_chain
+from .chains import (
+    _pick_mu,
+    build_chain,
+    compressed_inverse,
+    staircase_from_chain,
+)
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
     StepSingular,
 )
 from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
-from .growth import _pick_mu
 from .numerics import as_matrix, expm, svdvals
 from .pencil import MatrixPencil, _cumulative_trapezoid
 

@@ -7,6 +7,7 @@ import scipy.linalg as spla
 
 import adae.chains
 import adae.growth
+import adae.numerics
 import adae.pencil
 import adae.solver
 from adae.cli import _build_parser, main
@@ -153,6 +154,23 @@ def test_solve_factors_once(tmp_path, monkeypatch):
     assert code == 0
     assert counts == {"_pick_mu": 1, "build_chain": 1, "inv": 5,
                       "inv(mu E - A)": 1}
+
+
+def test_solve_and_generate_probe_no_regularity(tmp_path, monkeypatch):
+    # neither command reads MatrixPencil.regular, so neither probes it;
+    # analyze does, once for the report and once inside the QZ oracle
+    counts = {}
+    _count(monkeypatch, counts, "probe_regularity", adae.pencil,
+           adae.numerics)
+    f = tmp_path / "pencil.json"
+    write_pencil_json(f, rlc_pencil(RLCConfig(m=6)).companion)
+    for argv in (["solve", "--input", str(f), "--cross-check"],
+                 ["solve", "--model", "weierstrass", "--index", "1"],
+                 ["generate", "--model", "heat-wave", "--m", "6"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert counts == {}
+    assert main(["analyze", "--input", str(f), "--out", str(tmp_path)]) == 0
+    assert counts == {"probe_regularity": 2}
 
 
 def test_demo_heat_wave_factors_once(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from adae.growth import (
     index_comparison_report,
     tractability_chain,
     _index_fit,
+    _oblique_projector,
     _pick_mu,
     _safe_omega,
 )
@@ -31,7 +32,7 @@ from adae.models import (
     rlc_pencil,
     weierstrass_pencil,
 )
-from adae.numerics import norm2
+from adae.numerics import Subspace, norm2, null_basis, range_basis
 from adae.pencil import MatrixPencil, pseudo_resolvent, resolvent_at
 
 N3 = np.eye(3, k=1)
@@ -144,6 +145,36 @@ def test_certificates_invert_nothing(monkeypatch, semidiss_pencil):
     assert inv == []
 
 
+def _is_shifted_pencil(M, p):
+    """Is M = lam E - A for some scalar lam?"""
+    lam = np.vdot(p.E, M + p.A) / max(np.vdot(p.E, p.E).real, 1e-300)
+    return np.allclose(M, lam * p.E - p.A, rtol=0, atol=1e-12 * (1 + abs(lam)))
+
+
+def test_certificates_factor_no_shifted_pencil(monkeypatch, semidiss_pencil):
+    # the surjectivity hypothesis is p.regular, probed once per pencil: the
+    # certificates take no SVD of lambda0 E - A, and no further probe
+    pencils = ((certify_D1, MatrixPencil(np.eye(2), SKEW)),
+               (certify_D1, MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2))),
+               (certify_D2, semidiss_pencil),
+               (certify_D2, heat_wave_pencil(HeatWaveConfig(m=10))))
+    for _, p in pencils:
+        assert p.regular
+    svd = _count_calls(monkeypatch, spla, "svd")
+    svdvals = _count_calls(monkeypatch, spla, "svdvals")
+    probes = _count_calls(monkeypatch, adae.pencil, "probe_regularity")
+    for certify, p in pencils:
+        del svd[:], svdvals[:]
+        assert certify(p).verdict == "holds"
+        args = [a[0] for a in svd + svdvals]
+        assert args and not [m for m in args if _is_shifted_pencil(m, p)]
+    assert probes == []
+    # the test sees such an SVD
+    p = pencils[0][1]
+    assert _is_shifted_pencil(3.7 * p.E - p.A, p)
+    assert not _is_shifted_pencil(p.E, p)
+
+
 def test_certify_D2_examples(semidiss_pencil, n2_pencil):
     c = certify_D2(semidiss_pencil)
     assert c.verdict == "holds" and abs(c.M - 1.0) < 1e-10
@@ -172,6 +203,30 @@ def test_tractability_examples(diag_pencil, semidiss_pencil):
     assert np.allclose(Q1, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-10)
     E2 = E1 - A1 @ Q1
     assert np.allclose(E2, [[1.0, 1.0], [-1.0, 0.0]], atol=1e-10)
+
+
+def test_oblique_projector_on_the_acceptance_corpus():
+    # every tractability stage of criterion 02's 100 pencils (150 stages):
+    # Q_i is a projector onto N_i = ker E_i whose kernel holds N_0, ...,
+    # N_{i-1}
+    stages = 0
+    for i in range(100):
+        p = random_index_pencil(1000 + i, i % 4)
+        seen = []
+        for E_i, _, Q_i, _ in tractability_chain(p).stages:
+            onto = null_basis(E_i, p.pol)
+            must = (range_basis(np.hstack(seen), p.pol) if seen
+                    else Subspace.zero(p.n))
+            P = _oblique_projector(onto, must, p.pol)
+            assert np.array_equal(P, Q_i)
+            tol = 1e-12 * norm2(P)
+            assert norm2(P @ P - P) <= tol * norm2(P)
+            assert norm2(P @ onto.basis - onto.basis) <= tol
+            assert norm2(P - onto.basis @ (onto.basis.conj().T @ P)) <= tol
+            assert norm2(P @ must.basis) <= tol
+            seen.append(onto.basis)
+            stages += 1
+    assert stages == 150
 
 
 def test_tractability_matches_oracle():

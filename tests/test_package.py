@@ -146,6 +146,27 @@ def test_certified_inverse_only_in_resolvent_at():
     assert len(inside) == 1 and everywhere == inside, everywhere
 
 
+def _imports_from(tree, module):
+    """The lines of `tree` that import from the sibling `module`."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == module)
+            or (isinstance(node, ast.Import)
+                and any(a.name.split(".")[-1] == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module is None
+                and any(a.name == module for a in node.names))]
+
+
+def test_solver_imports_nothing_from_growth():
+    # the solve pipeline needs the probe mu and the Wong chain, both from
+    # chains; the growth estimates and certificates are not part of it
+    assert _imports_from(_tree(SRC / "solver.py"), "growth") == []
+    # the scan sees the three forms of such an import
+    for src in ("from .growth import _pick_mu", "import adae.growth",
+                "from . import growth"):
+        assert _imports_from(ast.parse(src), "growth") == [1]
+
+
 def test_scan_sees_the_package():
     assert {"chains.py", "cli.py", "solver.py"} <= {p.name for p in MODULES}
 
