@@ -1,8 +1,8 @@
 """Degenerate semigroup generated on the stabilized range.
 
-T_R(t) acts as expm(t A_R) on V_k and as zero on a complement, so T_R(0) is
-a projector rather than the identity.  Its Laplace transform recovers the
-pseudo-resolvent on the dynamic part:
+T_R(t) acts as expm(t A_R) on V_k and as zero on W_k = ker R(mu)^k, so
+T_R(0) is the projector onto V_k along W_k rather than the identity.  Its
+Laplace transform recovers the pseudo-resolvent on the dynamic part:
 
     int_0^inf e^(-lam t) T_R(t) dt = (lam - A_R)^-1 = E (lam E - A)^-1 | V_k
 
@@ -11,10 +11,11 @@ pseudo-resolvent on the dynamic part:
 """
 
 import numpy as np
+import scipy.linalg as spla
 
 from .chains import RestrictedGenerator, build_chain, restricted_generator
 from .exceptions import HorizonTooShort
-from .numerics import expm, norm2
+from .numerics import Subspace, expm, norm2
 from .pencil import MatrixPencil, pseudo_resolvent
 
 __all__ = [
@@ -27,11 +28,14 @@ __all__ = [
 
 
 class DegenerateSemigroup:
-    def __init__(self, gen: RestrictedGenerator, complement_dim: int):
+    def __init__(self, gen: RestrictedGenerator, Wk: Subspace):
         self.gen = gen
-        self.complement_dim = complement_dim
-        # orthogonal projector onto V_k, as in both solvers
-        self.proj_V = gen.basis.projector()
+        self.complement_dim = Wk.dim
+        # Y with Y Q = I and Y W_k = 0: T_R(0) = Q Y is the projector onto
+        # V_k along W_k, zero on W_k as in both solvers
+        Q = gen.basis.basis
+        self.coords = spla.inv(np.hstack([Q, Wk.basis]))[:gen.dim]
+        self.proj_V = Q @ self.coords
 
     @property
     def dim_V(self) -> int:
@@ -47,19 +51,19 @@ def degenerate_semigroup(p: MatrixPencil, mu: complex,
     """Build T_R from the Wong chain of R(mu)."""
     chain = build_chain(p, mu, side)
     gen = restricted_generator(p, chain)
-    return DegenerateSemigroup(
-        gen, complement_dim=chain.W[chain.stabilization_k].dim)
+    return DegenerateSemigroup(gen, chain.W[chain.stabilization_k])
 
 
 def evaluate(tr: DegenerateSemigroup, t: float) -> np.ndarray:
-    """T_R(t) in ambient coordinates; at t = 0 this is the projector onto V_k."""
+    """T_R(t) in ambient coordinates; at t = 0 this is the projector onto V_k
+    along W_k."""
     if t < 0:
         raise ValueError("degenerate semigroups are defined for t >= 0")
     Q = tr.gen.basis.basis
     if tr.dim_V == 0:
         n = Q.shape[0]
         return np.zeros((n, n), dtype=np.result_type(Q, tr.gen.matrix))
-    return Q @ expm(t * tr.gen.matrix) @ Q.conj().T
+    return Q @ expm(t * tr.gen.matrix) @ tr.coords
 
 
 def omega_stability_estimate(tr: DegenerateSemigroup):
@@ -78,7 +82,7 @@ def laplace_consistency(tr: DegenerateSemigroup, p: MatrixPencil, lam: complex,
     """Defect of int_0^horizon e^(-lam t) T_R(t) dt against the resolvent.
 
     64-point Gauss-Legendre quadrature; compared with E (lam E - A)^-1 (resp. the
-    right-sided variant) composed with the projector onto V_k.
+    right-sided variant) composed with the projector onto V_k along W_k.
     """
     # positive orientation: E (lam E - A)^-1 = -E (A - lam E)^-1
     target = -pseudo_resolvent(p, lam, tr.gen.side) @ tr.proj_V

@@ -109,14 +109,21 @@ def _check_forcing(f, t):
 def _staircase_parts(stair, mu):
     """Set-up shared by both paths: U, U^* G with G = (A - mu E)^-1, dim V_k,
     R(mu) in staircase coordinates, the strictly upper block part N of R on
-    W, and B = the checked inverse of the V_k block of R."""
+    W, B = the checked inverse of the V_k block of R, and K = sum_{i<k}
+    B^(i+1) R_0W N^i: W_k = ker R^k is {(-K w, w)} in these coordinates, so
+    the V_k component of (v, w) along W_k, v + K w, is continuous at t = 0
+    and at every breakpoint, where w jumps and v by -K (w_new - w_old)."""
     U = stair.unitary
     nV = stair.dim_V
     Rt = stair.transform(mu)
     label = np.repeat(np.arange(stair.k + 1), stair.block_sizes)[nV:]
     N = np.where(label[:, None] < label[None, :], Rt[nV:, nV:], 0)
     B = compressed_inverse(stair.p, stair.chain)
-    return U, U.conj().T @ stair.chain.G, nV, Rt, N, B
+    K = term = B @ Rt[:nV, nV:]
+    for _ in range(stair.k - 1):
+        term = B @ term @ N
+        K = K + term
+    return U, U.conj().T @ stair.chain.G, nV, Rt, N, B, K
 
 
 def _w_coordinates(N, gW):
@@ -143,12 +150,13 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
     D = -mu I + diag(1..d, -1).  The same D generates the companion state
     z(s) = e^(-mu s) (1, s, ..., s^d), which the V_k stepping carries along.
     """
-    U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
+    U, UhG, nV, Rt, N, B, K = _staircase_parts(stair, mu)
     k = stair.k
     top = k if nV else k - 1
     dtype = np.result_type(U, UhG, B, x0, mu, *f.coeffs)
     xt = np.zeros((p.n, t.size), dtype=dtype)  # staircase coords of x_mu
-    xV = (U.conj().T @ x0)[:nV]
+    xt[:, 0] = U.conj().T @ x0  # the W part is the w_old of the first piece
+    xV = xt[:nV, 0]
     bps = f.breakpoints
     for ip, C in enumerate(f.coeffs):
         ta = bps[ip]
@@ -168,10 +176,8 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
         powers = s ** np.arange(d + 1)[:, None]
         xt[nV:, j0:j1 + 1] = np.exp(-mu * s) * (xW[0] @ powers)
         if nV:
-            if ip > 0:
-                # forcing jump: R y stays continuous, so the V coordinate
-                # jumps by -B R_{0,W} (w(ta+) - w(ta-))
-                xV = xV - B @ (Rt[:nV, nV:] @ (xt[nV:, j0] - old_w))
+            # the V_k component along W_k is continuous (_staircase_parts)
+            xV = xV - K @ (xt[nV:, j0] - old_w)
             # ODE x' = B x + B h_sig with h_sig = f_V - R_0W x_W'
             h_sig = F[:nV] - Rt[:nV, nV:] @ xW[1] if k else F[:nV]
             Maug = np.zeros((nV + d + 1, nV + d + 1), dtype=dtype)
@@ -211,7 +217,7 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     point by point.  A callable's samples are typed block by block, so the
     trajectory turns complex at the first block whose forcing is.
     """
-    U, UhG, nV, Rt, N, B = _staircase_parts(stair, mu)
+    U, UhG, nV, Rt, N, B, K = _staircase_parts(stair, mu)
     k = stair.k
     if f.kind == "sampled":
         warnings.warn("sampled forcing: derivatives via finite differences")
@@ -224,8 +230,6 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         ws = 0.5 * h * weights
         Phi = expm(h * B)
         prop = [expm((h - tq) * B) for tq in taus]
-        xV = (U.conj().T @ x0)[:nV]
-        xt[:nV, 0] = xV
 
     for b0 in range(0, t.size, _BLOCK):
         tb = t[b0:b0 + _BLOCK]
@@ -235,6 +239,10 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
             xt[nV:, b0:b0 + tb.size] = xW[0]
         if not nV:
             continue
+        if not b0:  # start on V_k along W_k (see _staircase_parts)
+            y0 = U.conj().T @ x0
+            xV = y0[:nV] - K @ (xt[nV:, 0] - y0[nV:])
+            xt[:nV, 0] = xV
         # steps [t_j, t_j + h] starting in this block; Gauss quadrature of
         # int e^((h - tau) B) B h_sig(t_j + tau) with h_sig = f_V - R_0W x_W'
         starts = tb[:t.size - 1 - b0]

@@ -312,9 +312,18 @@ def _smooth_forcing(kind, n, tf, seed):
     return SampledForcing(ts, np.column_stack([deriv(0)(s) for s in ts]))
 
 
+def _along_Wk(stair):
+    """Y with Y x the coordinates in V_k's basis of x's component along
+    W_k = ker R^k, taken from the chain's W_k."""
+    nV = stair.dim_V
+    Wk = stair.chain.W[stair.k].basis
+    return spla.inv(np.hstack([stair.unitary[:, :nV], Wk]))[:nV]
+
+
 def _fd_reference(p, stair, x0, f, t, h, mu):
     """Per-point finite-difference solve: recursive back-substitution of the
-    W blocks at every time, one quadrature sum per step."""
+    W blocks at every time, one quadrature sum per step.  V_k starts from
+    the component of x0 along W_k, less that of the W part at t = 0."""
     U = stair.unitary
     sizes = stair.block_sizes
     edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
@@ -356,7 +365,7 @@ def _fd_reference(p, stair, x0, f, t, h, mu):
         ws = 0.5 * h * weights
         Phi = spla.expm(h * B)
         prop = [spla.expm((h - tq) * B) for tq in taus]
-        xV = (Uh @ x0)[:nV]
+        xV = _along_Wk(stair) @ (x0 - U[:, nV:] @ xt[nV:, 0])
         xt[:nV, 0] = xV
         for j in range(1, t.size):
             acc = Phi @ xV
@@ -410,7 +419,8 @@ def test_fd_blocks_match_per_point(name, kind):
 def _exact_reference(p, stair, x0, f, t, h, mu):
     """Per-point exact solve: on each forcing piece the W blocks come from the
     block-by-block exp-poly recursion, bottom row up, and are evaluated one
-    time at a time; V_k steps with the augmented propagator."""
+    time at a time; V_k steps with the augmented propagator.  The component
+    along W_k is continuous at t = 0 and at each breakpoint."""
     U = stair.unitary
     sizes = stair.block_sizes
     edges = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
@@ -427,8 +437,11 @@ def _exact_reference(p, stair, x0, f, t, h, mu):
         return out
 
     xt = np.zeros((p.n, t.size), dtype=complex)
-    xV = (Uh @ x0)[:nV]
+    xt[:, 0] = Uh @ x0
+    xV = xt[:nV, 0]
     B = spla.inv(Rt[:nV, :nV]) if nV else None
+    # the V coordinate of a W part w along W_k
+    K = _along_Wk(stair) @ U[:, nV:] if nV else None
     for ip, C in enumerate(f.coeffs):
         ta, tb = f.breakpoints[ip], f.breakpoints[ip + 1]
         j0 = int(np.argmin(np.abs(t - ta)))
@@ -450,8 +463,7 @@ def _exact_reference(p, stair, x0, f, t, h, mu):
                                                for i in range(W.shape[1]))
         if not nV:
             continue
-        if ip > 0:
-            xV = xV - B @ (Rt[:nV, nV:] @ (xt[nV:, j0] - old_w))
+        xV = xV - K @ (xt[nV:, j0] - old_w)
         Hc = B @ (F[:nV] - differentiate(Rt[:nV, nV:] @ W))
         d = Hc.shape[1]
         Maug = np.zeros((nV + d, nV + d), dtype=complex)
@@ -535,6 +547,89 @@ def test_homogeneous_stepping_matches_semigroup(name):
     else:
         assert not np.any(rep.trajectory)
     assert np.allclose(rep.consistent_x0, tr.proj_V @ x0, atol=1e-13)
+
+
+def _real_index2():
+    """A real index-2 4 x 4 pencil: eigenvalues -1, -2 and a nilpotent
+    block of size 2, under real Gaussian transforms."""
+    rng = np.random.default_rng(3)
+    E, A = np.zeros((4, 4)), np.eye(4)
+    E[0, 0] = E[1, 1] = E[2, 3] = 1.0
+    A[0, 0], A[1, 1] = -1.0, -2.0
+    W, T = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    return MatrixPencil(W @ E @ T, W @ A @ T)
+
+
+ONE_BY_HALF = np.array([[-1.0, 1.0], [0.5, -1.0]])  # with E = diag(1, 0)
+EIGEN_PENCILS = {
+    "2x2": lambda: MatrixPencil(np.diag([1.0, 0.0]), ONE_BY_HALF),
+    "rlc-12-lossy": lambda: rlc_pencil(RLCConfig(
+        m=12, R=np.full(12, 0.3), G=np.full(12, 0.2))).companion,
+    "rlc-12-lossless": lambda: rlc_pencil(RLCConfig(m=12)).companion,
+    "heat-wave-6": lambda: heat_wave_pencil(HeatWaveConfig(m=6)),
+    "real-index-2": _real_index2,
+}
+
+
+def _eigen_expansion(p, x0, t):
+    """x(t) = sum_i v_i e^(lam_i t) w_i^H E x0 / (w_i^H E v_i) over the
+    finite eigenvalues, from the left and right eigenvectors."""
+    (a, b), vl, vr = spla.eig(p.A, p.E, left=True, right=True,
+                              homogeneous_eigvals=True)
+    fin = np.abs(b) > 1e-8 * np.abs(a)
+    V, L = vr[:, fin], vl[:, fin]
+    c = (L.conj().T @ (p.E @ x0)) / np.einsum("ij,ij->j", L.conj(), p.E @ V)
+    return V @ (c[:, None] * np.exp(np.outer(a[fin] / b[fin], t)))
+
+
+def _constant_callable(n, value=0.0):
+    """The constant forcing `value` as a callable with exact derivatives,
+    which takes the FD path."""
+    const = np.broadcast_to(value, (n,)).astype(float)
+    return CallableForcing(n, lambda s: const,
+                           derivatives=[lambda s: np.zeros(n)] * 3)
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_PENCILS))
+def test_solutions_match_the_eigen_expansion(name):
+    # both solve paths and T_R(t) x0 against the eigenvector expansion; the
+    # solution starts on V_k along W_k = ker R(mu)^k, so x0 and x0 + z with
+    # z in W_k have one trajectory
+    p = EIGEN_PENCILS[name]()
+    t = np.linspace(0.0, 1.0, 21)
+    rng = np.random.default_rng(1)
+    x0 = (np.array([1.0, 7.0]) if name == "2x2"
+          else rng.standard_normal(p.n))
+    want = _eigen_expansion(p, x0, t)
+    exact = solve_homogeneous(p, x0, t)
+    fd = solve_decoupled(p, x0, _constant_callable(p.n), t)
+    assert (exact.method, fd.method) == ("staircase-exact", "staircase-fd")
+    tr = degenerate_semigroup(p, exact.mu_used, side="right")
+    semigroup = np.column_stack([evaluate(tr, ti) @ x0 for ti in t])
+    for got in (exact.trajectory, fd.trajectory, semigroup):
+        assert _rel_dev(got, want) <= 1e-12
+    Wk = build_staircase(p, exact.mu_used, side="right").chain.W[exact.index_k]
+    assert Wk.dim == p.n - len(tr.gen.matrix) > 0
+    z = Wk.basis @ rng.standard_normal(Wk.dim)
+    z *= 5.0 * np.linalg.norm(x0) / np.linalg.norm(z)
+    for path in (lambda y: solve_homogeneous(p, y, t),
+                 lambda y: solve_decoupled(p, y, _constant_callable(p.n), t)):
+        assert _rel_dev(path(x0 + z).trajectory, want) <= 1e-12
+
+
+def test_forced_start_matches_the_closed_form():
+    # E = diag(1, 0), A = [[-1, 1], [0.5, -1]], f = (0, 1), x0 = 0:
+    # x2 = x1/2 + 1, x1' = -x1/2 + 1, so x1 = 2 (1 - e^(-t/2)) and
+    # x(0+) = (0, 1)
+    p = MatrixPencil(np.diag([1.0, 0.0]), ONE_BY_HALF)
+    t = np.linspace(0.0, 2.0, 41)
+    x1 = 2.0 * (1.0 - np.exp(-t / 2))
+    want = np.vstack([x1, x1 / 2 + 1.0])
+    for f in (PolynomialForcing.constant([0.0, 1.0], 2.0),
+              _constant_callable(2, [0.0, 1.0])):
+        rep = solve_decoupled(p, np.zeros(2), f, t)
+        assert _rel_dev(rep.trajectory, want) <= 1e-12
+        assert np.allclose(rep.consistent_x0, [0.0, 1.0], rtol=0, atol=1e-14)
 
 
 def test_fd_memory_flat_in_steps():
