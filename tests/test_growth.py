@@ -147,6 +147,8 @@ def test_certificates_invert_nothing(monkeypatch, semidiss_pencil):
 
 def _is_shifted_pencil(M, p):
     """Is M = lam E - A for some scalar lam?"""
+    if M.shape != p.E.shape:
+        return False
     lam = np.vdot(p.E, M + p.A) / max(np.vdot(p.E, p.E).real, 1e-300)
     return np.allclose(M, lam * p.E - p.A, rtol=0, atol=1e-12 * (1 + abs(lam)))
 
