@@ -217,7 +217,7 @@ class StaircaseForm:
         Frobenius norms of the blocks over a lower bound on max(||T||_2, 1)."""
         worst = max((np.linalg.norm(blk, "fro")
                      for blk in self._zero_blocks(T)), default=0.0)
-        return worst and worst / max(_norm2_lower(T), 1.0)
+        return worst and worst / max(_norm2_lower(np.abs(T)), 1.0)
 
 
 def staircase_from_chain(p: MatrixPencil,

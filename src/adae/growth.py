@@ -24,9 +24,10 @@ from .chains import _pick_mu, build_chain
 from .exceptions import ChainStalled, NotInResolventSet
 from .numerics import (
     Subspace,
+    _qz_regular,
+    as_matrix,
     norm2,
     null_basis,
-    qz_canonical,
     range_basis,
     rank_from_svals,
     subspace_intersection,
@@ -511,7 +512,10 @@ def index_comparison_report(p: MatrixPencil, grid: LambdaGrid | None = None):
     chain_obj = tractability_chain(p)
     mu = _pick_mu(p)
     wong = build_chain(p, mu, side="left")
-    eigs, qz_index = qz_canonical(p.E, p.A, p.pol)
+    # the QZ oracle reads the pencil's regularity probe, and takes its
+    # matrices through as_matrix as qz_canonical does: their values, not
+    # their array dtype, pick the real or the complex form
+    eigs, qz_index = _qz_regular(as_matrix(p.E), as_matrix(p.A), p.regular)
     sweep = _Sweep(p, at={(mu, "left"): wong.R})
     token = _SHARED_SWEEP.set(sweep)
     try:

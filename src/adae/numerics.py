@@ -23,7 +23,11 @@ Every spectral norm and every SVD of the package is taken here:
   which a norm never reads (Golub & Van Loan, Matrix Computations,
   sec. 8.6; Higham, Accuracy and Stability of Numerical Algorithms,
   ch. 20).  X is rescaled by max |x_ij| only when the Gram's largest
-  eigenvalue would leave [1e-280, 1e280].
+  eigenvalue would leave [1e-280, 1e280].  Rows and columns of X that are
+  exactly zero are dropped first: they carry no singular value, so the
+  norm is unchanged, and the Gram matrix is formed and eigensolved at the
+  order of the nonzero lines (the algebraic rows of a semi-explicit DAE's E
+  are zero, so are those of E (A - lam E)^-1).
 """
 
 from dataclasses import dataclass
@@ -128,8 +132,15 @@ _GRAM_LO, _GRAM_HI = 1e-280, 1e280
 
 def norm2(m) -> float:
     """Spectral norm ||m||_2, the square root of the largest eigenvalue of
-    the smaller Gram matrix (see the module docstring); 0 on empty input."""
+    the smaller Gram matrix of m's nonzero rows and columns (see the module
+    docstring); 0 on empty or all-zero input."""
     a = np.asarray(m)
+    # zero rows and columns carry no singular value; a matrix without a zero
+    # entry has none, and one count tells so
+    if np.count_nonzero(a) < a.size:
+        keep_rows, keep_cols = a.any(axis=1), a.any(axis=0)
+        if not (keep_rows.all() and keep_cols.all()):
+            a = a[np.ix_(keep_rows, keep_cols)]
     rows, cols = a.shape
     if not rows or not cols:
         return 0.0
@@ -296,13 +307,19 @@ def qz_canonical(E, A, pol: TolerancePolicy = DEFAULT_POLICY):
     """
     E = as_matrix(E)
     A = as_matrix(A)
-    n = E.shape[0]
     if E.shape != A.shape or E.shape[0] != E.shape[1]:
         raise ValueError("qz_canonical requires a square pencil")
+    return _qz_regular(E, A, probe_regularity(E, A, pol))
+
+
+def _qz_regular(E, A, regular: bool):
+    """qz_canonical of a square pencil whose matrices have been through
+    as_matrix and whose regularity has been probed."""
+    if not regular:
+        raise SingularPencil("det(lam E - A) vanishes on the probe set")
+    n = E.shape[0]
     if n == 0:
         return [], 0
-    if not probe_regularity(E, A, pol):
-        raise SingularPencil("det(lam E - A) vanishes on the probe set")
 
     # eigenproblem A x = lam E x; sort finite eigenvalues to the leading
     # block.  QZ scatters the infinite eigenvalues of a size-k nilpotent

@@ -131,12 +131,22 @@ class ResolventSample:
 _INV_RESIDUAL_TOL = 1e-6
 # relative slack that keeps rounding in the cheap norm bounds from deciding
 _BOUND_MARGIN = 1.0 - 1e-8
+# entries of an inverse below _FLUSH times its largest are set to 0 (see
+# _certified_inverse)
+_FLUSH = np.finfo(float).eps ** 2
 
 
-def _norm2_lower(Y):
-    """Lower bound on ||Y||_2 of a square Y that needs no factorization."""
-    return max(np.linalg.norm(Y, 1), np.linalg.norm(Y, np.inf),
-               np.linalg.norm(Y, "fro")) / np.sqrt(Y.shape[0])
+# Bounds on the 2-norm of a square Y that need no factorization, from its
+# entries' absolute values a = |Y|: max(||Y||_1, ||Y||_inf, ||Y||_F) /
+# sqrt(n) <= ||Y||_2 <= min(||Y||_F, sqrt(||Y||_1 ||Y||_inf)).
+def _norm2_lower(a):
+    return max(a.sum(axis=0).max(), a.sum(axis=1).max(),
+               np.sqrt(np.vdot(a, a))) / np.sqrt(len(a))
+
+
+def _norm2_upper(a):
+    return min(np.sqrt(np.vdot(a, a)),
+               np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
 def _certified_inverse(m, lam):
@@ -153,21 +163,32 @@ def _certified_inverse(m, lam):
         raise NotInResolventSet(lam, "matrix singular to working precision")
     if not np.all(np.isfinite(inv)):
         raise NotInResolventSet(lam, "inverse overflowed")
+    # Flush to 0 every entry below eps^2 max|inv_ij|.  Each moves by less
+    # than that, so the inverse moves by ||D||_2 <= n eps^2 ||inv||_2, a
+    # factor 2^-52 n below its own rounding error, and negation still
+    # commutes with it.  At large lam, lam E - A of a DAE inverts to entries
+    # down to the subnormal range (heat-wave m = 50, lam >= 1e5: 816-1036 of
+    # 40 000), and every product and Gram matrix formed from them takes
+    # x86's slow subnormal path: 2.0-3.8 ms per 200 x 200 Gram product
+    # against 0.2 ms on a Xeon with OpenBLAS (BENCH_18.json).  The gate
+    # below certifies the flushed inverse.
+    a = np.abs(inv)
+    tiny = a < _FLUSH * a.max()
+    inv[tiny] = 0
+    a[tiny] = 0
     X = m @ inv - np.eye(n)
     # a backward-stable inverse satisfies resid <~ n eps ||m|| ||inv|| no
     # matter the conditioning, so reject only clear failures of that bound.
     # The gate is in exact 2-norms, but each one costs an eigensolve.  Try
     # it first with cheap bounds that can only make acceptance harder: an
-    # upper bound on the residual, ||X||_2 <= min(||X||_F, sqrt(||X||_1
-    # ||X||_inf)), and lower bounds on the floor, ||Y||_2 >= max(||Y||_1,
-    # ||Y||_inf, ||Y||_F) / sqrt(n), shrunk by _BOUND_MARGIN against
-    # rounding in the norms (and not used once they overflow).  What passes
-    # them passes the exact gate; the rest goes to the exact gate, so the
-    # decision and the message never differ from the exact gate's.
+    # upper bound on the residual and lower bounds on the floor, shrunk by
+    # _BOUND_MARGIN against rounding in the norms (and not used once they
+    # overflow).  What passes them passes the exact gate; the rest goes to
+    # the exact gate, so the decision and the message never differ from the
+    # exact gate's.
     eps_n = n * np.finfo(float).eps
-    resid_hi = min(np.linalg.norm(X, "fro"),
-                   np.sqrt(np.linalg.norm(X, 1) * np.linalg.norm(X, np.inf)))
-    floor_lo = eps_n * _norm2_lower(m) * _norm2_lower(inv)
+    resid_hi = _norm2_upper(np.abs(X))
+    floor_lo = eps_n * _norm2_lower(np.abs(m)) * _norm2_lower(a)
     if (np.isfinite(floor_lo) and resid_hi
             <= _BOUND_MARGIN * max(_INV_RESIDUAL_TOL, 1e3 * floor_lo)):
         return inv
@@ -179,7 +200,8 @@ def _certified_inverse(m, lam):
 
 
 def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
-    """Certified inverse of lam*E - A."""
+    """Certified inverse of lam*E - A, with its entries below eps^2 times
+    the largest set to 0."""
     if not p.is_square:
         raise ValueError("resolvent_at requires a square pencil")
     m = lam * p.E - p.A
@@ -196,8 +218,8 @@ def _side_product(p: MatrixPencil, G: np.ndarray, side: str) -> np.ndarray:
 
 
 def pseudo_resolvent(p: MatrixPencil, lam: complex, side: str) -> np.ndarray:
-    # pivoted LU commutes with negation, so the negated inverse of
-    # lam E - A is bitwise the inverse of A - lam E
+    # pivoted LU and the flush commute with negation, so the negated
+    # certified inverse of lam E - A is bitwise that of A - lam E
     return _side_product(p, -resolvent_at(p, lam).inverse, side)
 
 

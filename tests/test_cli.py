@@ -158,7 +158,7 @@ def test_solve_factors_once(tmp_path, monkeypatch):
 
 def test_solve_and_generate_probe_no_regularity(tmp_path, monkeypatch):
     # neither command reads MatrixPencil.regular, so neither probes it;
-    # analyze does, once for the report and once inside the QZ oracle
+    # analyze does, once, and its QZ oracle reads the probe's result
     counts = {}
     _count(monkeypatch, counts, "probe_regularity", adae.pencil,
            adae.numerics)
@@ -170,7 +170,7 @@ def test_solve_and_generate_probe_no_regularity(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(tmp_path)]) == 0
     assert counts == {}
     assert main(["analyze", "--input", str(f), "--out", str(tmp_path)]) == 0
-    assert counts == {"probe_regularity": 2}
+    assert counts == {"probe_regularity": 1}
 
 
 def test_demo_heat_wave_factors_once(tmp_path, monkeypatch):

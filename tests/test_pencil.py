@@ -11,6 +11,8 @@ from adae.numerics import norm2
 from adae.pencil import (
     _INV_RESIDUAL_TOL,
     _certified_inverse,
+    _norm2_lower,
+    _norm2_upper,
     MatrixPencil,
     left_resolvent,
     mild_membership_residual,
@@ -151,6 +153,38 @@ def test_certified_inverse_matches_exact_gate():
             rejected += not accepts
             near_gate += accepts and resid > 0.1 * thresh
     assert rejected >= 1 and near_gate >= 1
+
+
+@pytest.mark.parametrize("m", [10, 50])
+def test_certified_inverse_flushes_below_eps_squared(m):
+    # at large lam the inverse of lam E - A reaches into the subnormal
+    # range; resolvent_at returns it with every entry below eps^2 times its
+    # largest set to 0, every other entry bitwise as inverted, and so
+    # within n eps^2 of it in the 2-norm
+    p = heat_wave_pencil(HeatWaveConfig(m=m))
+    eps2 = np.finfo(float).eps ** 2
+    for lam in (1e5, 1e6, 1e8):
+        got = resolvent_at(p, lam).inverse
+        want = spla.inv(lam * p.E - p.A)
+        assert not np.any((got != 0) & (np.abs(got) < np.finfo(float).tiny))
+        flushed = got != want
+        assert np.all(got[flushed] == 0)
+        assert np.all(np.abs(want[flushed]) < eps2 * np.abs(want).max())
+        assert norm2(got - want) <= p.n * eps2 * norm2(want)
+
+
+def test_cheap_gate_bounds_are_bounds():
+    # the gate's bounds taken from |Y|: below ||Y||_2 for the shifted
+    # matrix and its inverse, above it for the inversion residual
+    for p in (heat_wave_pencil(HeatWaveConfig(m=10)),
+              random_index_pencil(1001, 2), random_index_pencil(4403, 3)):
+        for lam in np.logspace(0, 8, 9):
+            m = lam * p.E - p.A
+            inv = resolvent_at(p, lam).inverse
+            X = m @ inv - np.eye(p.n)
+            assert _norm2_lower(np.abs(m)) <= norm2(m)
+            assert _norm2_lower(np.abs(inv)) <= norm2(inv)
+            assert _norm2_upper(np.abs(X)) >= norm2(X)
 
 
 def test_left_resolvent_constant_for_nilpotent(n2_pencil):
