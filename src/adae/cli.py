@@ -210,7 +210,8 @@ def _load_forcing(args, n, tf):
             pieces.append(c)
         return PolynomialForcing(d["breakpoints"], pieces)
     if args.forcing_csv:
-        data = np.loadtxt(args.forcing_csv, delimiter=",", skiprows=1)
+        data = np.loadtxt(args.forcing_csv, delimiter=",", skiprows=1,
+                          ndmin=2)
         return SampledForcing(data[:, 0], data[:, 1:].T)
     return PolynomialForcing.zero(n, tf)
 

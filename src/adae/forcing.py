@@ -1,12 +1,15 @@
 """Forcing signals for the DAE solver.
 
 Three kinds: piecewise polynomial (exact derivatives, the preferred path),
-sampled on a uniform grid (finite-difference derivatives at the nearest
-sample, limited smoothness), and callable (user-supplied derivative functions).
+sampled on a uniform grid (derivative orders 0-2 of the quartic through the
+5 samples nearest t, the window shifted inward at the edges; no
+nearest-sample rule), and callable (user-supplied derivative functions).
 Coefficients, samples and callable values go through ``numerics.as_matrix``:
 float64 when they have no imaginary part, complex128 otherwise, and NaN/Inf
 refused.
 """
+
+import math
 
 import numpy as np
 
@@ -19,6 +22,11 @@ __all__ = [
     "SampledForcing",
     "CallableForcing",
 ]
+
+# 24 l_a(s) for the Lagrange basis on the nodes s = 0..4: row a holds the
+# (integer) coefficients of s^0..s^4
+_LAGRANGE24 = np.rint(
+    24 * np.linalg.inv(np.vander(np.arange(5.0), increasing=True))).T
 
 
 class ForcingSignal:
@@ -110,14 +118,14 @@ class PolynomialForcing(ForcingSignal):
 
 
 class SampledForcing(ForcingSignal):
-    """Values on a uniform time grid; derivatives by finite differences.
+    """Values on a uniform time grid; derivatives of orders 0-2 from one
+    local quartic.
 
-    A derivative is the stencil's value at the sample nearest to t, so off
-    the grid it is off by O(h).  The stencils are 4th order, except the
-    one-sided second-derivative stencil (2, -5, 4, -1)/h^2 at the two
-    edges, which is 2nd order.  Only first and second derivatives are
-    trusted, so solves needing higher orders (index >= 3) are refused
-    upstream.
+    The order-th derivative at t is that of the quartic through the 5
+    samples nearest t: the window is centred on the nearest sample and
+    shifted inward at the two edges, so one rule serves every order and
+    every t, with error O(h^(5 - order)) for smooth data.  Orders above 2
+    are refused, so solves of index >= 3 are refused upstream.
     """
 
     kind = "sampled"
@@ -128,9 +136,10 @@ class SampledForcing(ForcingSignal):
         self.values = as_matrix(values)
         if self.values.shape[1] != self.times.size:
             raise ValueError("values must have one column per sample time")
-        # the one-sided 5-point stencils need 6 samples to stay in bounds
+        # the window needs 5 samples; 6 is the documented input contract
+        # (README, tests/test_cli.py::test_solve_five_sample_csv_exits_one)
         if self.times.size < 6:
-            raise ValueError("need at least 6 samples for the stencils")
+            raise ValueError("need at least 6 samples")
         h = np.diff(self.times)
         if not np.allclose(h, h[0], rtol=1e-9, atol=0):
             raise ValueError("sample grid must be uniform")
@@ -138,50 +147,21 @@ class SampledForcing(ForcingSignal):
         self.dim = self.values.shape[0]
 
     def sample(self, ts, order=0):
-        """Cubic interpolation through the 4 nearest samples (order 0), or a
-        finite-difference stencil at the nearest sample (orders 1 and 2;
-        see the class docstring for their orders of accuracy)."""
+        """Derivatives of the quartic through the 5 nearest samples, with
+        weights evaluated per time by Horner's rule in s = (t - t_lo) / h."""
         self.require_order(order)
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        n = self.times.size
-        h = self.h
-        v = self.values
-        i = np.clip(np.rint((ts - self.times[0]) / h).astype(int), 0, n - 1)
-        out = np.zeros((self.dim, ts.size), dtype=v.dtype)
-        if order == 0:
-            lo = np.clip(i - 1, 0, n - 4)
-            for a in range(4):
-                w = 1.0
-                for b in range(4):
-                    if b != a:
-                        w = w * ((ts - self.times[lo + b])
-                                 / (self.times[lo + a] - self.times[lo + b]))
-                out += w * v[:, lo + a]
-            return out
-        mid = (2 <= i) & (i <= n - 3)
-        left = i < 2
-        right = ~mid & ~left
-        j = i[mid]
-        if order == 1:
-            out[:, mid] = (-v[:, j + 2] + 8 * v[:, j + 1]
-                           - 8 * v[:, j - 1] + v[:, j - 2]) / (12 * h)
-            # one-sided 4th-order stencils at the edges
-            j = i[left]
-            out[:, left] = (-25 * v[:, j] + 48 * v[:, j + 1] - 36 * v[:, j + 2]
-                            + 16 * v[:, j + 3] - 3 * v[:, j + 4]) / (12 * h)
-            j = i[right]
-            out[:, right] = (25 * v[:, j] - 48 * v[:, j - 1] + 36 * v[:, j - 2]
-                             - 16 * v[:, j - 3] + 3 * v[:, j - 4]) / (12 * h)
-            return out
-        out[:, mid] = (-v[:, j + 2] + 16 * v[:, j + 1] - 30 * v[:, j]
-                       + 16 * v[:, j - 1] - v[:, j - 2]) / (12 * h * h)
-        # one-sided 2nd-order stencils at the edges
-        j = np.minimum(i[left], n - 4)
-        out[:, left] = (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
-                        - v[:, j + 3]) / (h * h)
-        j = i[right]
-        out[:, right] = (2 * v[:, j] - 5 * v[:, j - 1] + 4 * v[:, j - 2]
-                         - v[:, j - 3]) / (h * h)
+        lo = np.clip(np.rint((ts - self.times[0]) / self.h).astype(int) - 2,
+                     0, self.times.size - 5)
+        s = (ts - self.times[lo]) / self.h
+        out = np.zeros((self.dim, ts.size), dtype=self.values.dtype)
+        for a, c in enumerate(_LAGRANGE24[:, order:]):
+            w = np.zeros(ts.size)
+            for j in range(4 - order, -1, -1):
+                w *= s
+                w += c[j] * math.perm(j + order, order)
+            out += w * self.values[:, lo + a]
+        out /= 24 * self.h ** order
         return out
 
 

@@ -90,10 +90,14 @@ def _check_grid(p, t_grid):
     return t, float(h[0])
 
 
-def _check_forcing(f, t):
-    """Polynomial breakpoints and sampled times must span [0, t_f], and
-    interior breakpoints must sit on the grid so steps never straddle a
-    piece.  Callable forcing has no span to check."""
+def _check_forcing(f, t, n):
+    """f must have the pencil's n components.  Polynomial breakpoints and
+    sampled times must span [0, t_f], and interior breakpoints must sit on
+    the grid so steps never straddle a piece.  Callable forcing has no span
+    to check."""
+    if f.dim != n:
+        raise ValueError(f"forcing has {f.dim} components, "
+                         f"the pencil has n = {n}")
     tol = 1e-9 * max(t[-1], 1.0)
     poly = isinstance(f, PolynomialForcing)
     if not poly and not isinstance(f, SampledForcing):
@@ -270,7 +274,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
     x0 = np.zeros(p.n) if x0 is None else as_matrix(x0).reshape(-1)
     if x0.size != p.n:
         raise ValueError(f"x0 has {x0.size} entries, the pencil has n = {p.n}")
-    _check_forcing(f, t)
+    _check_forcing(f, t, p.n)
 
     stair = staircase_from_chain(p, build_chain(p, mu, side="right"))
     k = stair.k

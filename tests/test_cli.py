@@ -345,6 +345,39 @@ def test_solve_bad_breakpoints_exit_one(tmp_path, capsys, breakpoints,
     assert not (tmp_path / "solve.json").exists()
 
 
+def _csv_rows(header, row):
+    return [header] + [row(ti) for ti in np.linspace(0.0, 1.0, 11).tolist()]
+
+
+@pytest.mark.parametrize("flag, rows, message", [
+    # one data row: the CSV must still load as 2-D rows
+    ("--forcing-csv", ["t, f1, f2, f3", "0.0, 1.0, 0.0, 0.0"],
+     "need at least 6 samples"),
+    ("--forcing-csv", _csv_rows("t", repr),
+     "forcing has 0 components, the pencil has n = 3"),
+    ("--forcing-csv", _csv_rows("t, f1, f2", lambda ti: f"{ti!r}, 1.0, 0.0"),
+     "forcing has 2 components, the pencil has n = 3"),
+    ("--forcing", [{"rows": 2, "cols": 1, "re": [1.0, 0.0]}],
+     "forcing has 2 components, the pencil has n = 3"),
+])
+def test_solve_bad_forcing_shape_exits_one(tmp_path, capsys, flag, rows,
+                                           message):
+    f = tmp_path / "pencil.json"
+    write_pencil(f, np.eye(3), -np.eye(3))
+    g = tmp_path / "forcing"
+    if flag == "--forcing-csv":
+        g.write_text("\n".join(rows) + "\n")
+    else:
+        g.write_text(json.dumps({"breakpoints": [0.0, 1.0], "pieces": rows}))
+    code = main(["solve", "--input", str(f), flag, str(g), "--tf", "1.0",
+                 "--steps", "10", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_demo_weierstrass_indices_agree(tmp_path):
     code = main(["demo", "weierstrass", "--index", "3", "--seed", "4",
                  "--out", str(tmp_path)])

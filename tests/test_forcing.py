@@ -148,62 +148,42 @@ def test_zero_forcing():
     assert np.allclose(f.derivative(2.0, 4), np.zeros(3))
 
 
-def _sampled_reference(f, t, order):
-    """Per-point value/derivative of a SampledForcing: the scalar stencils
-    the vectorized sample() must reproduce bit for bit."""
-    n = f.times.size
-    h = f.h
-    v = f.values
-    i = min(max(int(round((t - f.times[0]) / h)), 0), n - 1)
-    if order == 0:
-        lo = min(max(i - 1, 0), n - 4)
-        ts = f.times[lo:lo + 4]
-        out = np.zeros(f.dim, dtype=complex)
-        for a in range(4):
-            w = 1.0
-            for b in range(4):
-                if b != a:
-                    w *= (t - ts[b]) / (ts[a] - ts[b])
-            out += w * v[:, lo + a]
-        return out
-    if order == 1:
-        if 2 <= i <= n - 3:
-            return (-v[:, i + 2] + 8 * v[:, i + 1]
-                    - 8 * v[:, i - 1] + v[:, i - 2]) / (12 * h)
-        if i < 2:
-            return (-25 * v[:, i] + 48 * v[:, i + 1] - 36 * v[:, i + 2]
-                    + 16 * v[:, i + 3] - 3 * v[:, i + 4]) / (12 * h)
-        return (25 * v[:, i] - 48 * v[:, i - 1] + 36 * v[:, i - 2]
-                - 16 * v[:, i - 3] + 3 * v[:, i - 4]) / (12 * h)
-    if 2 <= i <= n - 3:
-        return (-v[:, i + 2] + 16 * v[:, i + 1] - 30 * v[:, i]
-                + 16 * v[:, i - 1] - v[:, i - 2]) / (12 * h * h)
-    if i < 2:
-        j = min(i, n - 4)
-        return (2 * v[:, j] - 5 * v[:, j + 1] + 4 * v[:, j + 2]
-                - v[:, j + 3]) / (h * h)
-    return (2 * v[:, i] - 5 * v[:, i - 1] + 4 * v[:, i - 2]
-            - v[:, i - 3]) / (h * h)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_sampled_sample_matches_per_point_bitwise(order):
-    rng = np.random.default_rng(5)
+def _sampled_quartics(seed):
+    """SampledForcing of three random complex quartics on a 41-point grid,
+    the quartics themselves, and times at the nodes, the midpoints, random
+    points, in the two edge windows and just outside [t0, tN]."""
+    rng = np.random.default_rng(seed)
     t = np.linspace(0.5, 2.5, 41)
     h = t[1] - t[0]
-    vals = rng.standard_normal((3, 41)) + 1j * rng.standard_normal((3, 41))
-    vals[1, ::3] = 0.0
-    f = SampledForcing(t, vals)
+    polys = [np.polynomial.Polynomial(rng.standard_normal(5)
+                                      + 1j * rng.standard_normal(5))
+             for _ in range(3)]
+    f = SampledForcing(t, np.array([q(t) for q in polys]))
     edges = [t[0] - 0.3 * h, t[0] + 0.4 * h, t[0] + 1.5 * h, t[1] + 0.5 * h,
              t[-1] - 1.5 * h, t[-2] + 0.5 * h, t[-1] - 0.2 * h, t[-1] + 0.2 * h]
     ts = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), rng.uniform(0.5, 2.5, 30),
                          edges])
+    return f, polys, ts
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_sampled_reproduces_quartics(seed):
+    # the local quartic through 5 samples is the quartic itself, edges and
+    # off-grid times included
+    f, polys, ts = _sampled_quartics(seed)
+    for order in range(3):
+        want = np.array([q.deriv(order)(ts) for q in polys])
+        got = f.sample(ts, order)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_sampled_sample_matches_per_point_bitwise(order):
+    f, _, ts = _sampled_quartics(5)
+    f.values[1, ::3] = 0.0
     got = f.sample(ts, order)
-    want = np.column_stack([_sampled_reference(f, s, order) for s in ts])
-    assert got.tobytes() == want.tobytes()
-    for s in (ts[0], edges[0], edges[-1]):
-        assert f.derivative(s, order).tobytes() == \
-            _sampled_reference(f, s, order).tobytes()
+    for i, s in enumerate(ts):
+        assert got[:, i].tobytes() == f.sample([s], order)[:, 0].tobytes()
 
 
 def _polynomial_reference(f, t, order):

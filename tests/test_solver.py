@@ -87,6 +87,18 @@ def test_homogeneous_bad_inputs():
         solve_homogeneous(p, [1.0, 0.0], [0.0, -1.0])
 
 
+@pytest.mark.parametrize("kind", ["polynomial", "sampled", "callable"])
+def test_forcing_must_have_n_components(kind):
+    p = MatrixPencil(np.eye(3), -np.eye(3))
+    t = np.linspace(0.0, 1.0, 11)
+    f = {"polynomial": PolynomialForcing.constant([1.0, 2.0], 1.0),
+         "sampled": SampledForcing(t, np.ones((2, 11))),
+         "callable": CallableForcing(2, lambda s: [1.0, 2.0])}[kind]
+    with pytest.raises(ValueError, match="forcing has 2 components, "
+                                         "the pencil has n = 3"):
+        solve_decoupled(p, None, f, t)
+
+
 def test_homogeneous_is_decoupled_with_zero_forcing(diag_pencil):
     t = np.linspace(0.0, 2.0, 41)
     rep = solve_homogeneous(diag_pencil, [1.0, 5.0], t)
