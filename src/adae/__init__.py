@@ -1,10 +1,12 @@
 """Linear differential-algebraic equations d/dt Ex(t) = Ax(t) + f(t).
 
-Pseudo-resolvent calculus for matrix pencils: Wong-type subspace chains,
-staircase decoupling, resolvent-growth index estimates and dissipativity
-certificates, degenerate semigroups on the regular subspace, and exact or
-finite-difference time stepping, with reference discretizations of a coupled
-heat/wave system and an RLC transmission line.
+Pseudo-resolvent calculus for matrix pencils, every left or right
+pseudo-resolvent taken from one certified inverse of lam E - A: Wong-type
+subspace chains, staircase decoupling, resolvent-growth index estimates and
+dissipativity certificates, degenerate semigroups on the regular subspace,
+and decoupled solves with exact or sampled forcing derivatives, with
+reference discretizations of a coupled heat/wave system and an RLC
+transmission line.
 """
 
 from .chains import (
@@ -80,18 +82,9 @@ from .numerics import (
     subspace_intersection,
 )
 from .pencil import (
-    LinearRelation,
     MatrixPencil,
-    left_resolvent,
-    mild_membership_residual,
     pseudo_resolvent,
     pseudo_resolvent_residual,
-    relation_L_left,
-    relation_L_right,
-    relation_from_pseudo_resolvent,
-    relation_parts,
-    relation_resolvent,
-    right_resolvent,
 )
 from .semigroup import (
     DegenerateSemigroup,

@@ -75,16 +75,6 @@ class SubspaceChain:
     def ambient_dim(self) -> int:
         return self.V[0].ambient_dim
 
-    @property
-    def block_sizes(self) -> list[int]:
-        """[dim V_k] + [dim V_{j-1} - dim V_j for j = k..1]: the staircase
-        widths in the order (V_k | W_k | ... | W_1)."""
-        k = self.stabilization_k
-        if k is None:
-            raise ChainNotStabilized("range chain failed to stabilize")
-        dims = [v.dim for v in self.V]
-        return [dims[k]] + [dims[j - 1] - dims[j] for j in range(k, 0, -1)]
-
 
 def build_chain(p: MatrixPencil, mu: complex,
                 side: str = "left") -> SubspaceChain:

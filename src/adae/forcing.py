@@ -111,11 +111,6 @@ class PolynomialForcing(ForcingSignal):
                                  * np.float_power(s, j - order))
         return out
 
-    def left_multiplied(self, M):
-        """The signal M f(t) for a constant matrix M."""
-        return PolynomialForcing(self.breakpoints,
-                                 [M @ c for c in self.coeffs])
-
 
 class SampledForcing(ForcingSignal):
     """Values on a uniform time grid; derivatives of orders 0-2 from one
@@ -182,5 +177,10 @@ class CallableForcing(ForcingSignal):
         ts = np.asarray(ts, dtype=float).reshape(-1)
         out = np.empty((self.dim, ts.size), dtype=complex)
         for j, t in enumerate(ts):
-            out[:, j] = np.asarray(fn(t), dtype=complex).reshape(-1)
+            v = np.asarray(fn(t), dtype=complex).reshape(-1)
+            if v.size != self.dim:
+                raise ValueError(f"callable forcing (order {order}) returned "
+                                 f"{v.size} values at t = {t:g}, expected "
+                                 f"dim = {self.dim}")
+            out[:, j] = v
         return as_matrix(out)

@@ -194,8 +194,7 @@ def weierstrass_pencil(spec: WeierstrassSpec,
     """Random pencil with prescribed canonical form; returns (pencil, index)."""
     rng = np.random.default_rng(spec.transform_seed)
     p_dim = len(spec.ode_eigenvalues)
-    q_dim = sum(spec.nilpotent_block_sizes)
-    n = p_dim + q_dim
+    n = spec.dim
     E = np.zeros((n, n), dtype=complex)
     A = np.zeros((n, n), dtype=complex)
     E[:p_dim, :p_dim] = np.eye(p_dim)

@@ -1,4 +1,4 @@
-"""Matrix pencils, resolvents, left/right pseudo-resolvents, linear relations.
+"""Matrix pencils, certified resolvents and left/right pseudo-resolvents.
 
 The pencil lam*E - A is the central object.  The left and right
 pseudo-resolvents are
@@ -6,7 +6,9 @@ pseudo-resolvents are
     R_l(lam) = E (A - lam E)^-1        (acting on the equation space Z)
     R_r(lam) = (A - lam E)^-1 E        (acting on the state space X)
 
-Both satisfy the resolvent identity in the form
+and every command reaches them through `pseudo_resolvent`, which takes the
+one certified inverse of `resolvent_at`.  Both satisfy the resolvent
+identity in the form
 
     R(lam) - R(mu) = (lam - mu) R(lam) R(mu),
 
@@ -20,33 +22,21 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .exceptions import GridTooCoarse, NotInResolventSet
+from .exceptions import NotInResolventSet
 from .numerics import (
     DEFAULT_POLICY,
-    Subspace,
     TolerancePolicy,
     as_matrix,
     norm2,
-    null_basis,
     probe_regularity,
-    range_basis,
 )
 
 __all__ = [
     "MatrixPencil",
     "ResolventSample",
-    "LinearRelation",
     "resolvent_at",
-    "left_resolvent",
-    "right_resolvent",
     "pseudo_resolvent",
     "pseudo_resolvent_residual",
-    "relation_L_left",
-    "relation_L_right",
-    "relation_from_pseudo_resolvent",
-    "relation_parts",
-    "relation_resolvent",
-    "mild_membership_residual",
 ]
 
 
@@ -223,16 +213,6 @@ def pseudo_resolvent(p: MatrixPencil, lam: complex, side: str) -> np.ndarray:
     return _side_product(p, -resolvent_at(p, lam).inverse, side)
 
 
-def left_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
-    """R_l(lam) = E (A - lam E)^-1."""
-    return pseudo_resolvent(p, lam, "left")
-
-
-def right_resolvent(p: MatrixPencil, lam: complex) -> np.ndarray:
-    """R_r(lam) = (A - lam E)^-1 E."""
-    return pseudo_resolvent(p, lam, "right")
-
-
 def pseudo_resolvent_residual(p: MatrixPencil, lam: complex, mu: complex,
                               side: str = "left") -> float:
     """Defect in the resolvent identity R(lam)-R(mu) = (lam-mu) R(lam)R(mu)."""
@@ -242,131 +222,3 @@ def pseudo_resolvent_residual(p: MatrixPencil, lam: complex, mu: complex,
     rm = pseudo_resolvent(p, mu, side)
     defect = (rl - rm) / (lam - mu) - rl @ rm
     return norm2(defect)
-
-
-class LinearRelation:
-    """A linear relation: a subspace of the product of two spaces."""
-
-    def __init__(self, dim_first: int, dim_second: int, space: Subspace):
-        if space.ambient_dim != dim_first + dim_second:
-            raise ValueError("product-space dimension mismatch")
-        self.dim_first = dim_first
-        self.dim_second = dim_second
-        self.space = space
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def first_block(self) -> np.ndarray:
-        return self.space.basis[: self.dim_first, :]
-
-    def second_block(self) -> np.ndarray:
-        return self.space.basis[self.dim_first:, :]
-
-    def __repr__(self):
-        return (f"LinearRelation(dim={self.dim}, "
-                f"ambient=({self.dim_first},{self.dim_second}))")
-
-
-def relation_L_left(p: MatrixPencil) -> LinearRelation:
-    """L_l = {(Ex, Ax)}: the range of the stacked matrix [E; A]."""
-    stacked = np.vstack([p.E, p.A])
-    space = range_basis(stacked, p.pol)
-    m = p.E.shape[0]
-    return LinearRelation(m, m, space)
-
-
-def relation_L_right(p: MatrixPencil) -> LinearRelation:
-    """L_r = {(x, w) : Ew = Ax}, the null space of [A, -E] on (x, w)."""
-    space = null_basis(np.hstack([p.A, -p.E]), p.pol)
-    return LinearRelation(p.n, p.n, space)
-
-
-def relation_from_pseudo_resolvent(p: MatrixPencil, mu: complex,
-                                   side: str = "left") -> LinearRelation:
-    """L_mu = ran [R(mu); I + mu R(mu)]; independent of mu."""
-    r = pseudo_resolvent(p, mu, side)
-    n = r.shape[0]
-    stacked = np.vstack([r, np.eye(n) + mu * r])
-    return LinearRelation(n, n, range_basis(stacked, p.pol))
-
-
-def relation_parts(L: LinearRelation, pol: TolerancePolicy = DEFAULT_POLICY):
-    """Return (dom, ker, ran, mul) of a relation as subspaces."""
-    top = L.first_block()
-    bot = L.second_block()
-    dom = range_basis(top, pol) if L.dim else Subspace.zero(L.dim_first)
-    ran = range_basis(bot, pol) if L.dim else Subspace.zero(L.dim_second)
-    # ker: first components of relation elements whose second component is 0
-    coeff_ker = null_basis(bot, pol) if L.dim else Subspace.zero(0)
-    if coeff_ker.dim:
-        ker = range_basis(top @ coeff_ker.basis, pol)
-    else:
-        ker = Subspace.zero(L.dim_first)
-    # mul: second components of elements whose first component is 0
-    coeff_mul = null_basis(top, pol) if L.dim else Subspace.zero(0)
-    if coeff_mul.dim:
-        mul = range_basis(bot @ coeff_mul.basis, pol)
-    else:
-        mul = Subspace.zero(L.dim_second)
-    return dom, ker, ran, mul
-
-
-def relation_resolvent(L: LinearRelation, lam: complex) -> np.ndarray:
-    """(L - lam)^-1 as a matrix, assuming the inverse relation is an operator.
-
-    Shifting maps (x, y) to (x, y - lam x); inverting swaps the components.
-    The result is the single-valued operator solving M (y - lam x) = x.
-    """
-    top = L.first_block()
-    bot = L.second_block() - lam * L.first_block()
-    return top @ np.linalg.pinv(bot)
-
-
-def _cumulative_trapezoid(y, h) -> np.ndarray:
-    """Trapezoidal integrals of the columns of y with step(s) h, 0 first."""
-    out = np.zeros_like(y)
-    out[:, 1:] = np.cumsum(0.5 * h * (y[:, 1:] + y[:, :-1]), axis=1)
-    return out
-
-
-def mild_membership_residual(p: MatrixPencil, trajectory, times, forcing, x0,
-                             lam: complex) -> float:
-    """Distance of the mild-solution pair to the relation L_r, maximized over t.
-
-    For each grid time t the pair
-
-        ( int_0^t x - (lam E - A)^-1 int_0^t f,
-          x(t) - x0 - lam (lam E - A)^-1 int_0^t f )
-
-    must lie in L_r; cumulative integrals are trapezoidal, so the residual of
-    an exact solution is O(h^2).
-    """
-    x = np.asarray(trajectory, dtype=complex)
-    t = np.asarray(times, dtype=float)
-    f = np.asarray(forcing, dtype=complex)
-    if t.size < 4:
-        raise GridTooCoarse("mild membership needs at least 4 samples")
-    if x.shape[1] != t.size or f.shape[1] != t.size:
-        raise ValueError("trajectory/forcing must be sampled on the time grid")
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
-
-    inv = resolvent_at(p, lam).inverse
-    L = relation_L_right(p)
-    P = L.space.projector()
-
-    h = np.diff(t)
-    cum_x = _cumulative_trapezoid(x, h)
-    cum_f = _cumulative_trapezoid(f, h)
-
-    worst = 0.0
-    for j in range(t.size):
-        rf = inv @ cum_f[:, j]
-        pair = np.concatenate([cum_x[:, j] - rf, x[:, j] - x0 - lam * rf])
-        nrm = np.linalg.norm(pair)
-        if nrm == 0.0:
-            continue
-        dist = np.linalg.norm(pair - P @ pair) / nrm
-        worst = max(worst, float(dist))
-    return worst

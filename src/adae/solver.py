@@ -11,13 +11,14 @@ ODE x' = B x + B h with B the inverse of the compressed R_r(mu).  Both paths
 run that one recursion.  For piecewise-polynomial forcing it acts on
 coefficient matrices, d/ds being C -> C @ D, so everything stays inside the
 class "e^(-mu s) times vector polynomial" and the only floating-point error
-is the matrix exponential itself; sampled/callable forcing falls back to
-finite-difference derivatives and per-step quadrature.  Both paths read
-(A - mu E)^-1 and R_r(mu) from the Wong chain the staircase was derived
-from, so a solve factors A - mu E once.  Each path works in the result type
-of the data it is given (the staircase factors, x0, the forcing and mu), so
-a real pencil with real x0 and real forcing is solved in float64 end to
-end, and anything complex in complex128.
+is the matrix exponential itself.  Sampled and callable forcing feed it
+the derivatives the signal supplies (a sampled signal's local quartic, a
+callable's own derivative functions), with per-step quadrature on V_k.
+Both paths read (A - mu E)^-1 and R_r(mu) from the Wong chain the staircase
+was derived from, so a solve factors A - mu E once.  Each path works in
+the result type of the data it is given (the staircase factors, x0, the
+forcing and mu), so a real pencil with real x0 and real forcing is solved
+in float64 end to end, and anything complex in complex128.
 """
 
 import warnings
@@ -40,7 +41,7 @@ from .exceptions import (
 )
 from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .numerics import as_matrix, expm, svdvals
-from .pencil import MatrixPencil, _cumulative_trapezoid
+from .pencil import MatrixPencil
 
 __all__ = [
     "SolveReport",
@@ -214,7 +215,7 @@ def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
 
 
 def _solve_fd(p, stair, x0, f, t, h, mu):
-    """Sampled/callable path: FD derivatives, per-step quadrature on V_k.
+    """Sampled/callable path: signal derivatives, per-step quadrature on V_k.
 
     The grid is processed in blocks of _BLOCK times, each evaluated with
     array products; only the V_k recurrence x_j = Phi x_{j-1} + c_j steps
@@ -346,6 +347,13 @@ def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
         classical_residual=np.nan, mild_residual=np.nan, mu_used=0.0,
         index_k=-1, block_sizes=[], method="implicit-euler")
     return report
+
+
+def _cumulative_trapezoid(y, h) -> np.ndarray:
+    """Trapezoidal integrals of the columns of y with step(s) h, 0 first."""
+    out = np.zeros_like(y)
+    out[:, 1:] = np.cumsum(0.5 * h * (y[:, 1:] + y[:, :-1]), axis=1)
+    return out
 
 
 def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):

@@ -41,15 +41,6 @@ def test_polynomial_validation():
         PolynomialForcing([0.0, 1.0, 2.0], [np.eye(2), np.eye(3)])
 
 
-def test_polynomial_left_multiplied():
-    f = PolynomialForcing.from_coeffs(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    g = f.left_multiplied(M)
-    for t in (0.2, 0.9):
-        assert np.allclose(g.value(t), M @ f.value(t))
-        assert np.allclose(g.derivative(t, 1), M @ f.derivative(t, 1))
-
-
 def test_sampled_accuracy():
     t = np.linspace(0.0, 2.0, 401)
     f = SampledForcing(t, np.vstack([np.sin(t), t ** 3]))
@@ -79,8 +70,8 @@ def test_sampled_validation():
 
 
 def test_sampled_needs_six_samples():
-    # with 5 samples the one-sided 5-point stencils at nodes 1 and 3 would
-    # read past the grid or wrap around it
+    # the quartic window needs only 5 samples; the 6-sample minimum is the
+    # documented input contract, and 6 samples give exact derivatives of t^2
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="6 samples"):
         SampledForcing(t, t[None, :] ** 2)
@@ -98,6 +89,21 @@ def test_callable_forcing():
     assert abs(f.derivative(0.5, 1)[0] - np.exp(0.5)) < 1e-15
     with pytest.raises(InsufficientSmoothness):
         f.derivative(0.5, 2)
+
+
+@pytest.mark.parametrize("got", [[1.0], [1.0, 2.0, 3.0]],
+                         ids=["too-few", "too-many"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_callable_forcing_checks_value_length(order, got):
+    # a value of the wrong length is refused, naming the forcing, the order,
+    # the time and both lengths, and is never broadcast into dim rows
+    good = lambda t: [t, 2.0 * t]  # noqa: E731
+    bad = lambda t: got  # noqa: E731
+    f = CallableForcing(2, good if order else bad, [bad] if order else [])
+    msg = (rf"^callable forcing \(order {order}\) returned {len(got)} "
+           rf"values at t = 0\.5, expected dim = 2$")
+    with pytest.raises(ValueError, match=msg):
+        f.sample([0.5, 1.0], order)
 
 
 def test_samples_take_the_dtype_of_their_data():

@@ -1,10 +1,14 @@
 """Import hygiene of the package source, and pencils that stay as built, by
-an AST scan of src/adae; and the one real/complex rule, by wrapping the
-LAPACK entry points during real-model commands."""
+an AST scan of src/adae; the one real/complex rule, by wrapping the LAPACK
+entry points during real-model commands; and the public code that no CLI
+command reaches, by tracing a fixed set of commands."""
 
 import ast
 import functools
+import importlib
+import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +227,122 @@ def test_real_models_reach_lapack_in_real_arithmetic(tmp_path, monkeypatch):
         assert calls.get("lu_solve", 0) - solves <= 2, argv
     assert not bad, bad
     assert set(calls) == {name for _, name in _LAPACK}, calls
+
+
+# Public functions and methods that no command of _reach_commands runs, each
+# with the reason it stays.  A name that a command starts to reach, or that
+# is deleted, has to leave this list too.
+_UNREACHED = {
+    "chains.RestrictedGenerator.dim": "acceptance criterion 03",
+    "chains.restricted_generator": "acceptance criterion 03",
+    "chains.build_staircase": "acceptance criterion 04",
+    "chains.StaircaseForm.pattern_residual": "acceptance criterion 04",
+    "growth.certify_D1": "acceptance criterion 05",
+    "io.read_trajectory_csv": "acceptance criterion 12",
+    "numerics.qz_canonical": "acceptance criterion 02",
+    "pencil.ResolventSample.min_singular": "acceptance criterion 10",
+    "pencil.pseudo_resolvent_residual": "acceptance criterion 01",
+    "semigroup.degenerate_semigroup": "acceptance criterion 11",
+    "semigroup.laplace_consistency": "acceptance criterion 11",
+    "semigroup.DegenerateSemigroup.dim_V": "ROADMAP item 5",
+    "semigroup.evaluate": "ROADMAP item 5",
+    "semigroup.omega_stability_estimate": "ROADMAP item 5",
+    "forcing.CallableForcing.sample": "test reference: exact derivatives",
+    "forcing.ForcingSignal.value": "test reference: one-time samples",
+    "forcing.ForcingSignal.derivative": "test reference: one-time samples",
+    "forcing.PolynomialForcing.piece_index": "test reference: piece lookup",
+    "numerics.Subspace.projector": "test reference: subspace distances",
+}
+
+
+def _abstract(fn):
+    """Is the body of `fn` (after a docstring) only `raise NotImplementedError`?"""
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                       and isinstance(s.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and ast.unparse(body[0].exc).startswith("NotImplementedError"))
+
+
+def _code(obj):
+    """The code object of a function, property or cached_property."""
+    for attr in ("fget", "func", "__func__"):
+        obj = getattr(obj, attr, obj)
+    return obj.__code__
+
+
+def _public_code():
+    """{"module.name" or "module.Class.method": code object} for the public
+    functions and methods in src/adae.  Private and dunder names, exception
+    classes and abstract stubs are left out; the methods a dataclass
+    generates have no source here."""
+    code = {}
+    for path in MODULES:
+        mod = importlib.import_module(f"adae.{path.stem}")
+        for node in _tree(path).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                code[f"{path.stem}.{node.name}"] = _code(vars(mod)[node.name])
+            elif (isinstance(node, ast.ClassDef)
+                  and not issubclass(vars(mod)[node.name], BaseException)):
+                members = vars(vars(mod)[node.name])
+                for fn in node.body:
+                    if (isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_")
+                            and not _abstract(fn)):
+                        code[f"{path.stem}.{node.name}.{fn.name}"] = _code(
+                            members[fn.name])
+    return code
+
+
+def _reach_commands(d):
+    """Every command, model and forcing kind at small sizes."""
+    t = np.linspace(0.0, 1.0, 101)
+    (d / "f.csv").write_text("t, f1, f2, f3, f4\n" + "".join(
+        f"{ti!r}, " + ", ".join([repr(float(np.sin(3 * ti)))] * 4) + "\n"
+        for ti in t.tolist()))
+    (d / "f.json").write_text(json.dumps({
+        "breakpoints": [0.0, 0.5, 1.0],
+        "pieces": [{"rows": 4, "cols": 2, "re": [1.0, 0.5] * 4},
+                   {"rows": 4, "cols": 2, "re": [1.25, -1.0] * 4}]}))
+    weier = ["--model", "weierstrass", "--index"]
+    return ([["analyze", "--model", m, "--m", "6"] for m in ("heat-wave", "rlc")]
+            + [["analyze", *weier, str(k)] for k in range(5)]
+            + [["generate", *weier, "2"],
+               ["analyze", "--input", str(d / "pencil.json")]]
+            + [["solve", *weier, str(k), "--cross-check"] for k in range(5)]
+            + [["solve", *weier, "2", "--forcing", str(d / "f.json")],
+               ["solve", *weier, "2", "--forcing-csv", str(d / "f.csv")]]
+            + [["demo", name, "--m", "6", "--steps", "20", *flag]
+               for name, flag in (("heat-wave", []), ("rlc", []),
+                                  ("rlc", ["--lossless"]))]
+            + [["demo", "weierstrass"]])
+
+
+def test_commands_reach_all_public_code_but_the_allowlist(tmp_path):
+    code = _public_code()
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    for argv in _reach_commands(tmp_path):
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            status = main(argv + ["--out", str(tmp_path)])
+        finally:
+            sys.setprofile(outer)
+        assert status == 0, argv
+    unreached = {name for name, c in code.items() if c not in seen}
+    assert not unreached - set(_UNREACHED), \
+        f"public code no command reaches: {sorted(unreached - set(_UNREACHED))}"
+    assert not set(_UNREACHED) - unreached, \
+        f"allowlisted but reached or gone: {sorted(set(_UNREACHED) - unreached)}"
+    # the scan sees methods, properties and functions, and the trace sees them
+    assert {"pencil.pseudo_resolvent", "pencil.MatrixPencil.norm_scale",
+            "pencil.MatrixPencil.regular", "forcing.SampledForcing.sample",
+            "cli.main"} <= set(code) - unreached
+    assert "forcing.ForcingSignal.sample" not in code  # abstract
+    assert not any(name.startswith("exceptions.") for name in code)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as spla
 
 from conftest import N2, random_index_pencil, random_regular_pencil
-from adae.exceptions import GridTooCoarse, NotInResolventSet
+from adae.exceptions import NotInResolventSet
 from adae.models import HeatWaveConfig, heat_wave_pencil
 from adae.numerics import norm2
 from adae.pencil import (
@@ -14,17 +14,9 @@ from adae.pencil import (
     _norm2_lower,
     _norm2_upper,
     MatrixPencil,
-    left_resolvent,
-    mild_membership_residual,
     pseudo_resolvent,
     pseudo_resolvent_residual,
-    relation_L_left,
-    relation_L_right,
-    relation_from_pseudo_resolvent,
-    relation_parts,
-    relation_resolvent,
     resolvent_at,
-    right_resolvent,
 )
 
 
@@ -187,15 +179,16 @@ def test_cheap_gate_bounds_are_bounds():
             assert _norm2_upper(np.abs(X)) >= norm2(X)
 
 
-def test_left_resolvent_constant_for_nilpotent(n2_pencil):
+def test_pseudo_resolvent_left_constant_for_nilpotent(n2_pencil):
     for lam in (0.0, 5.0, -3.0):
-        assert np.allclose(left_resolvent(n2_pencil, lam), N2)
+        assert np.allclose(pseudo_resolvent(n2_pencil, lam, "left"), N2)
 
 
-def test_left_resolvent_diagonal(diag_pencil):
+def test_pseudo_resolvent_left_diagonal(diag_pencil):
     for lam in (0.0, 2.0, 10.0):
         expected = np.diag([-1.0 / (1.0 + lam), 0.0])
-        assert np.allclose(left_resolvent(diag_pencil, lam), expected)
+        assert np.allclose(pseudo_resolvent(diag_pencil, lam, "left"),
+                           expected)
 
 
 def test_pseudo_resolvent_reduces_to_resolvent(ode_pencil):
@@ -245,76 +238,3 @@ def test_resolvent_identity_random():
 def test_resolvent_identity_equal_points_rejected(ode_pencil):
     with pytest.raises(ValueError):
         pseudo_resolvent_residual(ode_pencil, 1.0, 1.0)
-
-
-def test_relation_L_left_nilpotent(n2_pencil):
-    L = relation_L_left(n2_pencil)
-    assert L.dim == 2
-    # the stacked columns [N2; I] e1 and [N2; I] e2 span the relation
-    target = np.vstack([N2, np.eye(2)])
-    proj = L.space.projector()
-    assert np.linalg.norm(proj @ target - target) < 1e-12
-
-
-def test_relation_trivial_operator_part():
-    p = MatrixPencil(np.zeros((2, 2)), np.eye(2))
-    L = relation_from_pseudo_resolvent(p, 0.0, side="left")
-    dom, ker, ran, mul = relation_parts(L)
-    assert dom.dim == 0 and mul.dim == 2  # {0} x X
-
-
-def test_relation_graph_of_A(ode_pencil):
-    L = relation_from_pseudo_resolvent(ode_pencil, 0.5, side="left")
-    dom, ker, ran, mul = relation_parts(L)
-    assert dom.dim == 2 and mul.dim == 0
-    # second block = A applied to first block
-    coeff = L.first_block()
-    assert np.linalg.norm(L.second_block() - ode_pencil.A @ coeff) < 1e-10
-
-
-def test_relation_independent_of_mu(n2_pencil):
-    L1 = relation_from_pseudo_resolvent(n2_pencil, 0.0, "left")
-    L2 = relation_from_pseudo_resolvent(n2_pencil, 4.2, "left")
-    d = np.linalg.norm(L1.space.projector() - L2.space.projector(), 2)
-    assert d < 1e-10
-
-
-def test_relation_resolvent_recovers_pseudo_resolvent():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        p = random_regular_pencil(rng, 4)
-        L = relation_from_pseudo_resolvent(p, 0.3, "left")
-        lam = 1.1 + 0.2j
-        got = relation_resolvent(L, lam)
-        assert np.linalg.norm(got - left_resolvent(p, lam), 2) < 1e-9
-
-
-def test_relation_L_right_membership(diag_pencil):
-    L = relation_L_right(diag_pencil)
-    # (x, w) with E w = A x: take x = e1, w = -e1 (since E w = -e1 = A e1)
-    pair = np.concatenate([[1.0, 0.0], [-1.0, 0.0]])
-    proj = L.space.projector()
-    assert np.linalg.norm(proj @ pair - pair) < 1e-12
-
-
-def test_mild_membership_exact_solution(ode_pencil):
-    t = np.linspace(0.0, 1.0, 201)
-    x = np.vstack([np.exp(-t), np.exp(-2 * t)])
-    f = np.zeros_like(x)
-    res = mild_membership_residual(ode_pencil, x, t, f, x[:, 0], 1.0)
-    assert res < 1e-4  # trapezoid O(h^2)
-
-
-def test_mild_membership_detects_garbage(ode_pencil):
-    t = np.linspace(0.0, 1.0, 201)
-    x = np.vstack([np.cos(7 * t) + 1.0, np.sin(5 * t) - 2.0])
-    f = np.zeros_like(x)
-    res = mild_membership_residual(ode_pencil, x, t, f, x[:, 0], 1.0)
-    assert res > 1e-2
-
-
-def test_mild_membership_grid_too_coarse(ode_pencil):
-    t = np.array([0.0, 0.5, 1.0])
-    x = np.zeros((2, 3))
-    with pytest.raises(GridTooCoarse):
-        mild_membership_residual(ode_pencil, x, t, x, x[:, 0], 1.0)
