@@ -41,7 +41,7 @@ from .numerics import (
 from .pencil import (
     _BOUND_MARGIN,
     MatrixPencil,
-    _norm2_lower,
+    _norm2_bounds,
     _side_product,
     pseudo_resolvent,
     resolvent_at,
@@ -207,7 +207,7 @@ class StaircaseForm:
         Frobenius norms of the blocks over a lower bound on max(||T||_2, 1)."""
         worst = max((np.linalg.norm(blk, "fro")
                      for blk in self._zero_blocks(T)), default=0.0)
-        return worst and worst / max(_norm2_lower(np.abs(T)), 1.0)
+        return worst and worst / max(_norm2_bounds(np.abs(T))[0], 1.0)
 
 
 def staircase_from_chain(p: MatrixPencil,

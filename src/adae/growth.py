@@ -21,10 +21,11 @@ import numpy as np
 import scipy.linalg as spla
 
 from .chains import _pick_mu, build_chain
-from .exceptions import ChainStalled, NotInResolventSet
+from .exceptions import ChainStalled
 from .numerics import (
     Subspace,
     _qz_regular,
+    _take,
     as_matrix,
     norm2,
     null_basis,
@@ -34,7 +35,12 @@ from .numerics import (
     svd,
     svdvals,
 )
-from .pencil import MatrixPencil, _side_product, pseudo_resolvent, resolvent_at
+from .pencil import (
+    MatrixPencil,
+    _resolvents,
+    _side_product,
+    pseudo_resolvent,
+)
 
 __all__ = [
     "LambdaGrid",
@@ -106,18 +112,28 @@ class GrowthCertificate:
         }
 
 
+# The sweep inverts blocks of lambda as one (L, n, n) stack of about
+# _BLOCK_ELEMS entries: every lambda of an index-corpus pencil (n <= 12) in
+# one block, 40 at n = 40, and one at n = 200 (heat-wave m = 50), where one
+# lambda is already a BLAS-bound 40 000 entries and a stack would only
+# raise the peak memory.
+_BLOCK_ELEMS = 2 ** 16
+
+
 class _Sweep:
     """Norms of (lam E - A)^-1 and of the pseudo-resolvents at the points of
     several lambda grids, from one certified inverse per distinct lambda.
 
     A norm is named "R" (of (lam E - A)^-1), "left" or "right" (of R_l(lam)
     or R_r(lam)), or (side, j) for R_side(lam) restricted to `bases[j]`.
-    `run` computes the norms asked for one lambda at a time, in ascending
-    order, and keeps the norms, not the inverse.  A lambda outside the
-    resolvent set is recorded in `failed`; on every grid it drops the points
-    below it.  `at` holds R_side(omega) by
-    (omega, side) for the restrictions, each computed once, and may be
-    given some already known.
+    `run` computes the norms asked for in ascending order of lambda, one
+    block of max(1, _BLOCK_ELEMS // n^2) lambda at a time: one stacked
+    certified inverse per block, then per side one stacked pseudo-resolvent
+    and per name one stacked norm, each slice bitwise as if its lambda were
+    taken alone.  It keeps the norms, not the inverses.  A lambda outside
+    the resolvent set is recorded in `failed`; on every grid it drops the
+    points below it.  `at` holds R_side(omega) by (omega, side) for the
+    restrictions, each computed once, and may be given some already known.
     """
 
     def __init__(self, p, at=None):
@@ -157,24 +173,41 @@ class _Sweep:
             lam = float(lam)
             if lam not in self.failed and name not in self.values.get(lam, ()):
                 todo.setdefault(lam, {})[name] = None
-        for lam in sorted(todo):
-            try:
-                res = resolvent_at(self.p, lam).inverse  # (lam E - A)^-1
-            except NotInResolventSet:
+        lams = sorted(todo)
+        size = max(1, _BLOCK_ELEMS // max(self.p.n ** 2, 1))
+        for b0 in range(0, len(lams), size):
+            self._run_block(lams[b0:b0 + size], todo)
+
+    def _run_block(self, lams, todo):
+        res, errors = _resolvents(self.p, lams)  # (lam E - A)^-1, stacked
+        wants = {}  # name -> the slices it is asked for at
+        for i, (lam, error) in enumerate(zip(lams, errors)):
+            if error is not None:
                 self.failed.add(lam)
                 continue
-            sides = {}
-            vals = self.values.setdefault(lam, {})
             for name in todo[lam]:
-                if name == "R":
-                    m = res
-                else:
-                    side, j = (name, None) if isinstance(name, str) else name
-                    if side not in sides:
-                        # as in pseudo_resolvent: -res is (A - lam E)^-1
-                        sides[side] = _side_product(self.p, -res, side)
-                    m = sides[side] if j is None else sides[side] @ self.bases[j]
-                vals[name] = norm2(m)
+                wants.setdefault(name, []).append(i)
+        slices = {}  # side -> the slices any of its names is asked for at
+        for name, idx in wants.items():
+            if name != "R":
+                side = name if isinstance(name, str) else name[0]
+                slices.setdefault(side, set()).update(idx)
+        neg = -res if slices else None  # as in pseudo_resolvent: (A - lam E)^-1
+        sides = {}  # side -> (its slices, R_side at them)
+        for side, idx in slices.items():
+            idx = sorted(idx)
+            sides[side] = idx, _side_product(self.p, _take(neg, idx), side)
+        for name, idx in wants.items():
+            if name == "R":
+                m = _take(res, idx)
+            else:
+                side, j = (name, None) if isinstance(name, str) else name
+                at, prod = sides[side]
+                m = _take(prod, np.searchsorted(at, idx))
+                if j is not None:
+                    m = m @ self.bases[j]
+            for i, v in zip(idx, norm2(m)):
+                self.values.setdefault(lams[i], {})[name] = float(v)
 
     def kept(self, grid, name):
         """The points of `grid` above its highest failing lambda, their norms

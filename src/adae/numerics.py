@@ -130,30 +130,71 @@ class Subspace:
 _GRAM_LO, _GRAM_HI = 1e-280, 1e280
 
 
-def norm2(m) -> float:
+def norm2(m):
     """Spectral norm ||m||_2, the square root of the largest eigenvalue of
     the smaller Gram matrix of m's nonzero rows and columns (see the module
-    docstring); 0 on empty or all-zero input."""
-    a = np.asarray(m)
-    # zero rows and columns carry no singular value; a matrix without a zero
+    docstring); 0 on empty or all-zero input.
+
+    m is one matrix, which gives a float, or an (L, r, c) stack, which
+    gives the L norms of its slices, each bitwise the norm of that slice
+    alone.  The slices are grouped by their pattern of exactly zero rows
+    and columns, and each group takes one stacked Gram product and one
+    stacked eigensolve; numpy runs both slice by slice through the same
+    BLAS and LAPACK calls as for one matrix.  The one-matrix call is the
+    stack of one slice.
+    """
+    m = np.asarray(m)
+    a = m[None] if m.ndim == 2 else m
+    # zero rows and columns carry no singular value; a stack without a zero
     # entry has none, and one count tells so
-    if np.count_nonzero(a) < a.size:
-        keep_rows, keep_cols = a.any(axis=1), a.any(axis=0)
-        if not (keep_rows.all() and keep_cols.all()):
-            a = a[np.ix_(keep_rows, keep_cols)]
-    rows, cols = a.shape
-    if not rows or not cols:
-        return 0.0
-    ah = a.conj().T if np.iscomplexobj(a) else a.T
+    if np.count_nonzero(a) == a.size:
+        out = _gram_norm2(a)
+    else:
+        keep_rows, keep_cols = a.any(axis=2), a.any(axis=1)
+        groups = {}
+        for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):
+            groups.setdefault((r.tobytes(), c.tobytes()), []).append(i)
+        out = np.empty(len(a))
+        for idx in groups.values():
+            r, c = keep_rows[idx[0]], keep_cols[idx[0]]
+            sub = _take(a, idx)
+            # compress copies in C order: the Gram product of a slice is
+            # then one syrk, not a gemm, which would round otherwise
+            if not r.all():
+                sub = sub.compress(r, axis=1)
+            if not c.all():
+                sub = sub.compress(c, axis=2)
+            out[idx] = _gram_norm2(sub)
+    return float(out[0]) if m.ndim == 2 else out
+
+
+def _take(stack, idx):
+    """The slices idx of stack, without a copy when they are all of it."""
+    return stack if len(idx) == len(stack) else stack[idx]
+
+
+def _gram_norm2(a):
+    """norm2 of each slice of the stack a, none of whose slices has an
+    exactly zero row or column to drop."""
+    size, rows, cols = a.shape
+    if not (size and rows and cols):
+        return np.zeros(size)
+    ah = (a.conj() if np.iscomplexobj(a) else a).transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
         gram = ah @ a if rows >= cols else a @ ah
-    d = gram.diagonal().real.max()
-    if _GRAM_LO <= d and d * len(gram) <= _GRAM_HI:
-        return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
-    s = np.abs(a).max()
-    if not 0.0 < s < np.inf:  # zero, or not finite
-        return float(s)
-    return float(s * norm2(a / s))
+    d = gram.diagonal(0, 1, 2).real.max(axis=1)
+    k = gram.shape[1]
+    # a NaN fails both tests, and its slice goes to the rescaling below
+    if _GRAM_LO <= d.min() and d.max() * k <= _GRAM_HI:
+        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    fits = (_GRAM_LO <= d) & (d * k <= _GRAM_HI)
+    out = np.empty(size)
+    if fits.any():
+        out[fits] = np.sqrt(np.linalg.eigvalsh(gram[fits])[:, -1])
+    for i in np.flatnonzero(~fits):
+        s = np.abs(a[i]).max()  # the norm itself when zero or not finite
+        out[i] = s if not 0.0 < s < np.inf else s * norm2(a[i] / s)
+    return out
 
 
 def svdvals(m) -> np.ndarray:

@@ -6,15 +6,20 @@ pseudo-resolvents are
     R_l(lam) = E (A - lam E)^-1        (acting on the equation space Z)
     R_r(lam) = (A - lam E)^-1 E        (acting on the state space X)
 
-and every command reaches them through `pseudo_resolvent`, which takes the
-one certified inverse of `resolvent_at`.  Both satisfy the resolvent
-identity in the form
+and every inverse of lam*E - A is the one certified inverse
+`_certified_inverse`, which takes a stack of lambda at once.  `_resolvents`
+forms that stack for a list of lambda (the growth sweeps call it with
+blocks of their grids), `resolvent_at` is its one-lambda call, and
+`pseudo_resolvent` negates the inverse of `resolvent_at`.  Each slice of a
+stack is inverted, flushed and decided bitwise as if it were alone.  Both
+pseudo-resolvents satisfy the resolvent identity in the form
 
     R(lam) - R(mu) = (lam - mu) R(lam) R(mu),
 
 which is what `pseudo_resolvent_residual` measures.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +31,7 @@ from .exceptions import NotInResolventSet
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _take,
     as_matrix,
     norm2,
     probe_regularity,
@@ -121,38 +127,59 @@ class ResolventSample:
 _INV_RESIDUAL_TOL = 1e-6
 # relative slack that keeps rounding in the cheap norm bounds from deciding
 _BOUND_MARGIN = 1.0 - 1e-8
+_EPS = np.finfo(float).eps
 # entries of an inverse below _FLUSH times its largest are set to 0 (see
 # _certified_inverse)
-_FLUSH = np.finfo(float).eps ** 2
+_FLUSH = _EPS ** 2
 
 
 # Bounds on the 2-norm of a square Y that need no factorization, from its
 # entries' absolute values a = |Y|: max(||Y||_1, ||Y||_inf, ||Y||_F) /
 # sqrt(n) <= ||Y||_2 <= min(||Y||_F, sqrt(||Y||_1 ||Y||_inf)).
-def _norm2_lower(a):
-    return max(a.sum(axis=0).max(), a.sum(axis=1).max(),
-               np.sqrt(np.vdot(a, a))) / np.sqrt(len(a))
+def _norm2_bounds(a):
+    """(lower, upper) bounds on ||Y||_2 from a = |Y|, for one matrix or for
+    each slice of a stack, from one pass over a."""
+    x = a.reshape(*a.shape[:-2], 1, -1)
+    fro = np.sqrt((x @ np.swapaxes(x, -1, -2))[..., 0, 0])  # a BLAS dot each
+    one, inf = a.sum(axis=-2).max(axis=-1), a.sum(axis=-1).max(axis=-1)
+    return (np.maximum(np.maximum(one, inf), fro) / math.sqrt(a.shape[-1]),
+            np.minimum(fro, np.sqrt(one * inf)))
 
 
-def _norm2_upper(a):
-    return min(np.sqrt(np.vdot(a, a)),
-               np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+def _certified_inverse(m, lams):
+    """Certified inverses of the (L, n, n) stack m, whose slice i is
+    lams[i] E - A (lams[i] names it in its error).
 
-
-def _certified_inverse(m, lam):
-    n = m.shape[0]
+    Returns the stack of inverses, with every entry below eps^2 times its
+    slice's largest set to 0, and per slice None or the NotInResolventSet
+    that says why it has no inverse (its slice of the stack is then 0).
+    Each slice is decided and flushed as if it were inverted alone.
+    """
+    size, n = m.shape[:2]
+    errors = [None] * size
     if n == 0:
-        return np.zeros_like(m)
-    try:
-        # scipy warns of ill-conditioning by rcond, which the residual gate
-        # below does not go by (see _INV_RESIDUAL_TOL)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.LinAlgWarning)
+        return np.zeros_like(m), errors
+    # scipy warns of ill-conditioning by rcond, which the residual gate
+    # below does not go by (see _INV_RESIDUAL_TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.LinAlgWarning)
+        try:
             inv = spla.inv(m)
-    except spla.LinAlgError:
-        raise NotInResolventSet(lam, "matrix singular to working precision")
-    if not np.all(np.isfinite(inv)):
-        raise NotInResolventSet(lam, "inverse overflowed")
+        except spla.LinAlgError:
+            # the stacked call fails as a whole, and its message does not
+            # say which slice is singular: invert each slice alone
+            inv = np.zeros(m.shape, np.result_type(m, float))
+            for i in range(size):
+                try:
+                    inv[i] = spla.inv(m[i])
+                except spla.LinAlgError:
+                    errors[i] = NotInResolventSet(
+                        lams[i], "matrix singular to working precision")
+    finite = np.isfinite(inv)
+    if not finite.all():
+        for i in np.flatnonzero(~finite.all(axis=(1, 2))):
+            errors[i] = NotInResolventSet(lams[i], "inverse overflowed")
+            inv[i] = 0
     # Flush to 0 every entry below eps^2 max|inv_ij|.  Each moves by less
     # than that, so the inverse moves by ||D||_2 <= n eps^2 ||inv||_2, a
     # factor 2^-52 n below its own rounding error, and negation still
@@ -162,11 +189,14 @@ def _certified_inverse(m, lam):
     # x86's slow subnormal path: 2.0-3.8 ms per 200 x 200 Gram product
     # against 0.2 ms on a Xeon with OpenBLAS (BENCH_18.json).  The gate
     # below certifies the flushed inverse.
-    a = np.abs(inv)
-    tiny = a < _FLUSH * a.max()
+    absolute = np.empty((3, *m.shape))  # |X|, |m|, |inv| for _norm2_bounds
+    a = np.abs(inv, out=absolute[2])
+    tiny = a < _FLUSH * a.max(axis=(1, 2), keepdims=True)
     inv[tiny] = 0
     a[tiny] = 0
     X = m @ inv - np.eye(n)
+    np.abs(X, out=absolute[0])
+    np.abs(m, out=absolute[1])
     # a backward-stable inverse satisfies resid <~ n eps ||m|| ||inv|| no
     # matter the conditioning, so reject only clear failures of that bound.
     # The gate is in exact 2-norms, but each one costs an eigensolve.  Try
@@ -176,26 +206,42 @@ def _certified_inverse(m, lam):
     # overflow).  What passes them passes the exact gate; the rest goes to
     # the exact gate, so the decision and the message never differ from the
     # exact gate's.
-    eps_n = n * np.finfo(float).eps
-    resid_hi = _norm2_upper(np.abs(X))
-    floor_lo = eps_n * _norm2_lower(np.abs(m)) * _norm2_lower(a)
-    if (np.isfinite(floor_lo) and resid_hi
-            <= _BOUND_MARGIN * max(_INV_RESIDUAL_TOL, 1e3 * floor_lo)):
-        return inv
-    resid = norm2(X)
-    floor = eps_n * norm2(m) * norm2(inv)
-    if resid > max(_INV_RESIDUAL_TOL, 1e3 * floor):
-        raise NotInResolventSet(lam, f"inversion residual {resid:.3e}")
-    return inv
+    eps_n = n * _EPS
+    with np.errstate(over="ignore"):  # an overflowing bound is not used
+        lower, upper = _norm2_bounds(absolute)
+        resid_hi, floor_lo = upper[0], eps_n * lower[1] * lower[2]
+    passed = np.isfinite(floor_lo) & (resid_hi <= _BOUND_MARGIN * np.maximum(
+        _INV_RESIDUAL_TOL, 1e3 * floor_lo))
+    exact = [] if passed.all() else [
+        i for i in np.flatnonzero(~passed) if errors[i] is None]
+    if exact:
+        resid = norm2(_take(X, exact))
+        floor = eps_n * norm2(_take(m, exact)) * norm2(_take(inv, exact))
+        for i, r, f in zip(exact, resid, floor):
+            if r > max(_INV_RESIDUAL_TOL, 1e3 * f):
+                errors[i] = NotInResolventSet(
+                    lams[i], f"inversion residual {r:.3e}")
+                inv[i] = 0
+    return inv, errors
+
+
+def _resolvents(p: MatrixPencil, lams):
+    """Certified inverses of lam*E - A for each lam of `lams`: the (L, n, n)
+    stack of `_certified_inverse` and, per lam, None or why it is not in
+    the resolvent set."""
+    if not p.is_square:
+        raise ValueError("resolvent_at requires a square pencil")
+    m = np.asarray(lams)[:, None, None] * p.E - p.A
+    return _certified_inverse(m, lams)
 
 
 def resolvent_at(p: MatrixPencil, lam: complex) -> ResolventSample:
     """Certified inverse of lam*E - A, with its entries below eps^2 times
-    the largest set to 0."""
-    if not p.is_square:
-        raise ValueError("resolvent_at requires a square pencil")
-    m = lam * p.E - p.A
-    return ResolventSample(lam=lam, inverse=_certified_inverse(m, lam))
+    the largest set to 0: the one-lambda call of `_resolvents`."""
+    inv, (error,) = _resolvents(p, [lam])
+    if error is not None:
+        raise error
+    return ResolventSample(lam=lam, inverse=inv[0])
 
 
 def _side_product(p: MatrixPencil, G: np.ndarray, side: str) -> np.ndarray:

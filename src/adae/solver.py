@@ -21,7 +21,6 @@ forcing and mu), so a real pencil with real x0 and real forcing is solved
 in float64 end to end, and anything complex in complex128.
 """
 
-import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -224,8 +223,6 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     """
     U, UhG, nV, Rt, N, B, K = _staircase_parts(stair, mu)
     k = stair.k
-    if f.kind == "sampled":
-        warnings.warn("sampled forcing: derivatives via finite differences")
     top = k if nV else k - 1
 
     xt = np.zeros((p.n, t.size), dtype=np.result_type(U, UhG, B, x0, mu))

@@ -50,13 +50,15 @@ def _count(monkeypatch, counts, name, *owners):
 
 
 def _count_inverses(monkeypatch, counts, shifted):
-    """Count scipy.linalg.inv calls, and those that invert `shifted`."""
+    """Count the matrices scipy.linalg.inv inverts, each slice of a stack
+    for one, and those equal to `shifted`."""
     inv = spla.inv
 
     def counted(m, *args, **kwargs):
-        counts["inv"] = counts.get("inv", 0) + 1
-        if np.array_equal(m, shifted):
-            counts["inv(mu E - A)"] = counts.get("inv(mu E - A)", 0) + 1
+        for x in np.reshape(m, (-1, *np.shape(m)[-2:])):
+            counts["inv"] = counts.get("inv", 0) + 1
+            if np.array_equal(x, shifted):
+                counts["inv(mu E - A)"] = counts.get("inv(mu E - A)", 0) + 1
         return inv(m, *args, **kwargs)
     monkeypatch.setattr(spla, "inv", counted)
 
@@ -79,13 +81,19 @@ def test_analyze_factors_once(tmp_path, monkeypatch):
 def test_analyze_heat_wave_inverts_once_per_lambda(tmp_path, monkeypatch):
     # one report sweep: 72 distinct lambda on the G/R and D grids (24 of the
     # D points lie on the G/R grid), the Wong chain at mu and the
-    # staircase's 3 pattern checks; the certificates invert nothing
-    counts = {}
-    _count(monkeypatch, counts, "_certified_inverse", adae.pencil)
+    # staircase's 3 pattern checks; the certificates invert nothing.  The
+    # sweep inverts blocks of lambda in one call, so slices are counted
+    inverted = []
+    certified_inverse = adae.pencil._certified_inverse
+
+    def counted(m, lams):
+        inverted.extend(lams)
+        return certified_inverse(m, lams)
+    monkeypatch.setattr(adae.pencil, "_certified_inverse", counted)
     code = main(["analyze", "--model", "heat-wave", "--m", "10",
                  "--out", str(tmp_path)])
     assert code == 0
-    assert counts["_certified_inverse"] == 76
+    assert len(inverted) == 76
 
 
 def test_analyze_heat_wave_solves_dissipativity_once(tmp_path, monkeypatch):
@@ -273,6 +281,22 @@ def test_solve_sampled_index3_exits_three(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_forcing_csv_warns_of_nothing(tmp_path, capsys):
+    # sampled forcing takes its derivatives from local quartics, and a
+    # solve with it prints no warning
+    rows = ["t, f1, f2, f3"] + [f"{ti!r}, {np.sin(ti).item()!r}, 0.0, 0.0"
+                                for ti in np.linspace(0.0, 1.0, 51).tolist()]
+    csv = tmp_path / "forcing.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        code = main(["solve", "--model", "weierstrass", "--index", "1",
+                     "--forcing-csv", str(csv), "--tf", "1.0",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_five_sample_csv_exits_one(tmp_path, capsys):

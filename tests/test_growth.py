@@ -379,7 +379,8 @@ def _count_calls(monkeypatch, owner, name):
 def test_report_factorization_counts(monkeypatch):
     # one QZ per report, and one certified inverse per distinct lambda of
     # every grid of the report together: the G/R grid and the D_check grid
-    # (which share their points), plus the Wong chain's at mu
+    # (which share their points), plus the Wong chain's at mu.  An inverse
+    # is a slice of a stacked call, so the lambda of every call are counted
     p = random_index_pencil(1001, 1)
     grid = LambdaGrid.default(lam_max=1e8)
     want_mu = _pick_mu(p)
@@ -390,7 +391,7 @@ def test_report_factorization_counts(monkeypatch):
     rep = index_comparison_report(p, grid)
     assert rep["D_check"] is not None  # R_1 holds: check_Dk ran too
     assert len(qz) == 1
-    lams = [float(args[1]) for args in inv]
+    lams = [float(lam) for args in inv for lam in args[1]]
     assert len(lams) == len(set(lams))
     d_grid = LambdaGrid.default(omega=rep["D_check"].omega).points
     assert set(lams) == set(grid.points) | set(d_grid) | {want_mu}
@@ -404,7 +405,8 @@ def test_report_inverts_each_lambda_once_at_k_ge_2(monkeypatch):
     # the CLI's --model weierstrass --index 2 pencil on the CLI grid: the
     # R-index is fitted on the top two decades first, so D_check's
     # restricted norms at k = 2 are taken with the other norms, from one
-    # inverse per distinct lambda (R(0) for the restriction is the chain's)
+    # inverse (one slice of a stacked call) per distinct lambda (R(0) for
+    # the restriction is the chain's)
     p = weierstrass_pencil(WeierstrassSpec((-1.0, -2.0), (2,), 0))[0]
     grid = LambdaGrid.default(lam_max=1e8)
     with warnings.catch_warnings():
@@ -419,7 +421,7 @@ def test_report_inverts_each_lambda_once_at_k_ge_2(monkeypatch):
                 "R_index": r,
                 "D_check": check_Dk(p, r.k, d_grid, side="left")}
     assert rep["D_check"].k == 2
-    lams = [complex(args[1]) for args in inv]
+    lams = [complex(lam) for args in inv for lam in args[1]]
     assert len(lams) == len(set(lams))
     assert set(lams) == set(grid.points) | set(d_grid.points) | {rep["wong_mu"]}
     for key, cert in want.items():
@@ -495,9 +497,10 @@ def test_real_sweep_matches_complex_path(make):
 
 
 def test_sweep_dispatch():
-    # every pencil is swept through resolvent_at, in the pencil's own
-    # dtype: float64 for a real pencil, complex128 for a complex one, and
-    # the sweep's norms are those of resolvent_at's inverse, bitwise
+    # every pencil is swept through the certified inverse of resolvent_at,
+    # in the pencil's own dtype: float64 for a real pencil, complex128 for a
+    # complex one, and the sweep's stacked norms are those of
+    # resolvent_at's inverse, bitwise
     real = heat_wave_pencil(HeatWaveConfig(m=4))
     cplx = random_index_pencil(1001, 1)
     assert real.E.dtype == real.A.dtype == float

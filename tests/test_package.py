@@ -132,9 +132,10 @@ def test_spectral_norms_and_svds_only_in_numerics():
     assert not _spectral_call(ast.parse("np.linalg.norm(x)").body[0].value)
 
 
-def test_certified_inverse_only_in_resolvent_at():
-    # every certified inverse is of lam E - A, taken by pencil.resolvent_at;
-    # the pseudo-resolvents, the chains and the sweeps negate that one
+def test_certified_inverse_only_in_resolvents():
+    # every certified inverse is of lam E - A, taken by pencil._resolvents
+    # for a stack of lambda (resolvent_at is its one-lambda call); the
+    # pseudo-resolvents, the chains and the sweeps negate that one
     def refs(node):
         return [n for n in ast.walk(node)
                 if (isinstance(n, ast.Name) and n.id == "_certified_inverse")
@@ -143,10 +144,10 @@ def test_certified_inverse_only_in_resolvent_at():
 
     everywhere = [(path.name, n.lineno) for path in MODULES
                   for n in refs(_tree(path))]
-    resolvent_at = next(node for node in _tree(SRC / "pencil.py").body
-                        if isinstance(node, ast.FunctionDef)
-                        and node.name == "resolvent_at")
-    inside = [("pencil.py", n.lineno) for n in refs(resolvent_at)]
+    resolvents = next(node for node in _tree(SRC / "pencil.py").body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_resolvents")
+    inside = [("pencil.py", n.lineno) for n in refs(resolvents)]
     assert len(inside) == 1 and everywhere == inside, everywhere
 
 

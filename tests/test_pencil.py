@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import N2, random_index_pencil, random_regular_pencil
 from adae.exceptions import NotInResolventSet
@@ -11,8 +13,7 @@ from adae.numerics import norm2
 from adae.pencil import (
     _INV_RESIDUAL_TOL,
     _certified_inverse,
-    _norm2_lower,
-    _norm2_upper,
+    _norm2_bounds,
     MatrixPencil,
     pseudo_resolvent,
     pseudo_resolvent_residual,
@@ -108,11 +109,8 @@ def _exact_gate(m):
 
 
 def _gate_accepts(m):
-    try:
-        _certified_inverse(m, 0.0)
-    except NotInResolventSet:
-        return False
-    return True
+    _, (error,) = _certified_inverse(m[None], [0.0])
+    return error is None
 
 
 def test_certified_inverse_matches_exact_gate():
@@ -145,6 +143,15 @@ def test_certified_inverse_matches_exact_gate():
             rejected += not accepts
             near_gate += accepts and resid > 0.1 * thresh
     assert rejected >= 1 and near_gate >= 1
+    # the bordered Wilkinson matrices as one stack: each slice is inverted
+    # and decided as alone, rejections by the residual included
+    stack = np.array(mats[-45:])
+    inv, errors = _certified_inverse(stack, list(range(45)))
+    for i, m in enumerate(stack):
+        one, (error,) = _certified_inverse(m[None], [i])
+        assert inv[i].tobytes() == one[0].tobytes()
+        assert str(errors[i]) == str(error)
+    assert 0 < sum("inversion residual" in str(e) for e in errors) < 45
 
 
 @pytest.mark.parametrize("m", [10, 50])
@@ -174,9 +181,13 @@ def test_cheap_gate_bounds_are_bounds():
             m = lam * p.E - p.A
             inv = resolvent_at(p, lam).inverse
             X = m @ inv - np.eye(p.n)
-            assert _norm2_lower(np.abs(m)) <= norm2(m)
-            assert _norm2_lower(np.abs(inv)) <= norm2(inv)
-            assert _norm2_upper(np.abs(X)) >= norm2(X)
+            assert _norm2_bounds(np.abs(m))[0] <= norm2(m)
+            assert _norm2_bounds(np.abs(inv))[0] <= norm2(inv)
+            assert _norm2_bounds(np.abs(X))[1] >= norm2(X)
+            # a stack is bounded slice by slice
+            lower, upper = _norm2_bounds(np.abs(np.array([m, inv, X])))
+            assert lower[0] <= norm2(m) and lower[1] <= norm2(inv)
+            assert upper[2] >= norm2(X)
 
 
 def test_pseudo_resolvent_left_constant_for_nilpotent(n2_pencil):
@@ -238,3 +249,92 @@ def test_resolvent_identity_random():
 def test_resolvent_identity_equal_points_rejected(ode_pencil):
     with pytest.raises(ValueError):
         pseudo_resolvent_residual(ode_pencil, 1.0, 1.0)
+
+
+def _slice(kind, base):
+    """One slice of a stack for the stacked-inverse test, from lam E - A."""
+    n = len(base)
+    m = base.copy()
+    if n == 0:
+        return m
+    if kind == "singular":  # a zero column: LU meets a zero pivot
+        m[:, 0] = 0
+    elif kind == "overflow":  # subnormal entries: the inverse is not finite
+        m *= 1e-320
+    elif kind == "big":  # inverse Gram below 1e-280
+        m *= 1e200
+    elif kind == "small":  # inverse Gram above 1e280
+        m *= 1e-200
+    elif kind == "flush" and n > 1:
+        # the inverse's last row and column are 1e-40 of its largest entry
+        # and flush to 0; the floor n eps ||m|| ||inv|| accepts that
+        m[-1], m[:, -1] = 0, 0
+        m[-1, -1] = 1e40
+    return m
+
+
+_KINDS = ("plain", "singular", "overflow", "big", "small", "flush")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 12), complex_data=st.booleans(),
+       zero_rows=st.integers(0, 3),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, complex_data=False, zero_rows=2,
+         kinds=["plain", "plain", "singular", "overflow", "flush", "small"],
+         seed=0)
+@example(n=4, complex_data=True, zero_rows=1,
+         kinds=["big", "singular", "plain", "singular", "flush"], seed=1)
+def test_stacked_inverse_and_norms_match_single_slices(n, complex_data,
+                                                       zero_rows, kinds, seed):
+    # a stack is inverted and normed bitwise as each slice alone: the same
+    # inverse, the same failing slices with the same messages, and the same
+    # norms of the inverses and of E times them, E with zero rows
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_data else x
+
+    E, A = draw(n, n), draw(n, n)
+    E[:min(zero_rows, n)] = 0
+    lams = list(np.logspace(0, 8, len(kinds)) * rng.uniform(0.5, 2.0))
+    m = np.array([_slice(kind, lam * E - A)
+                  for kind, lam in zip(kinds, lams)]).reshape(len(kinds), n, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the stacked call warns of nothing
+        inv, errors = _certified_inverse(m, lams)
+        for i in range(len(m)):
+            one, (error,) = _certified_inverse(m[i:i + 1], lams[i:i + 1])
+            assert inv[i].tobytes() == one[0].tobytes()
+            assert str(errors[i]) == str(error)
+    if n:
+        assert all(errors[i] is not None
+                   for i, kind in enumerate(kinds) if kind == "singular")
+    left = E @ -inv
+    for stack in (inv, left):
+        norms = norm2(stack)
+        assert [v.tobytes() for v in norms] == [
+            np.float64(norm2(x)).tobytes() for x in stack]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 8), cols=st.integers(0, 8),
+       size=st.integers(0, 6), complex_data=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_norm2_matches_single_slices(rows, cols, size, complex_data,
+                                             seed):
+    # slices of mixed zero rows and columns, scales inside and outside the
+    # Gram range, and all-zero slices; each norm bitwise the slice's own
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((size, rows, cols))
+    if complex_data:
+        x = x + 1j * rng.standard_normal(x.shape)
+    x *= rng.choice([1.0, 1e200, 1e-200, 0.0], (size, 1, 1))
+    x[rng.random((size, rows)) < 0.3] = 0
+    x.transpose(0, 2, 1)[rng.random((size, cols)) < 0.3] = 0
+    norms = norm2(x)
+    assert norms.shape == (size,)
+    assert [v.tobytes() for v in norms] == [
+        np.float64(norm2(s)).tobytes() for s in x]
