@@ -111,18 +111,20 @@ def build_chain(p: MatrixPencil, mu: complex,
     return chain
 
 
+_PROBE_MUS = (0.0, 1.0, 2.37, 5.11, -1.3, 7.9)
+
+
 def _pick_mu(p: MatrixPencil) -> float:
-    """Best-conditioned probe mu among a few moderate real values."""
-    best, best_s = None, -1.0
-    for mu in (0.0, 1.0, 2.37, 5.11, -1.3, 7.9):
-        s = svdvals(p.A - mu * p.E)
-        if s.size == 0:
-            return 0.0
-        if s[-1] > best_s:
-            best, best_s = mu, s[-1]
-    if best_s <= p.pol.rank_rel_tol * p.norm_scale() * p.n:
-        raise NotInResolventSet(best, "no usable probe mu found")
-    return best
+    """Best-conditioned probe mu among a few moderate real values: the
+    first of _PROBE_MUS with the largest sigma_min(A - mu E), all six
+    taken from one stacked SVD."""
+    if p.n == 0:
+        return 0.0
+    s = svdvals(p.A - np.array(_PROBE_MUS)[:, None, None] * p.E)[:, -1]
+    best = int(np.argmax(s))
+    if not s[best] > p.pol.rank_rel_tol * p.norm_scale() * p.n:
+        raise NotInResolventSet(_PROBE_MUS[best], "no usable probe mu found")
+    return _PROBE_MUS[best]
 
 
 def check_decomposition(chain: SubspaceChain, pol=DEFAULT_POLICY):

@@ -140,32 +140,54 @@ def norm2(m):
     alone.  The slices are grouped by their pattern of exactly zero rows
     and columns, and each group takes one stacked Gram product and one
     stacked eigensolve; numpy runs both slice by slice through the same
-    BLAS and LAPACK calls as for one matrix.  The one-matrix call is the
-    stack of one slice.
+    BLAS and LAPACK calls as for one matrix, which `_norm2_one` takes
+    without the grouping.
     """
     m = np.asarray(m)
-    a = m[None] if m.ndim == 2 else m
+    if m.ndim == 2:
+        return _norm2_one(m)
     # zero rows and columns carry no singular value; a stack without a zero
     # entry has none, and one count tells so
-    if np.count_nonzero(a) == a.size:
-        out = _gram_norm2(a)
-    else:
-        keep_rows, keep_cols = a.any(axis=2), a.any(axis=1)
-        groups = {}
-        for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):
-            groups.setdefault((r.tobytes(), c.tobytes()), []).append(i)
-        out = np.empty(len(a))
-        for idx in groups.values():
-            r, c = keep_rows[idx[0]], keep_cols[idx[0]]
-            sub = _take(a, idx)
-            # compress copies in C order: the Gram product of a slice is
-            # then one syrk, not a gemm, which would round otherwise
-            if not r.all():
-                sub = sub.compress(r, axis=1)
-            if not c.all():
-                sub = sub.compress(c, axis=2)
-            out[idx] = _gram_norm2(sub)
-    return float(out[0]) if m.ndim == 2 else out
+    if np.count_nonzero(m) == m.size:
+        return _gram_norm2(m)
+    keep_rows, keep_cols = m.any(axis=2), m.any(axis=1)
+    groups = {}
+    for i, (r, c) in enumerate(zip(keep_rows, keep_cols)):
+        groups.setdefault((r.tobytes(), c.tobytes()), []).append(i)
+    out = np.empty(len(m))
+    for idx in groups.values():
+        r, c = keep_rows[idx[0]], keep_cols[idx[0]]
+        sub = _take(m, idx)
+        # compress copies in C order: the Gram product of a slice is
+        # then one syrk, not a gemm, which would round otherwise
+        if not r.all():
+            sub = sub.compress(r, axis=1)
+        if not c.all():
+            sub = sub.compress(c, axis=2)
+        out[idx] = _gram_norm2(sub)
+    return out
+
+
+def _norm2_one(a):
+    """norm2 of one matrix: its zero lines dropped as for a stack of one
+    slice, then the Gram product and eigensolve of `_gram_norm2`."""
+    if np.count_nonzero(a) < a.size:
+        keep_rows, keep_cols = a.any(axis=1), a.any(axis=0)
+        if not keep_rows.all():
+            a = a.compress(keep_rows, axis=0)
+        if not keep_cols.all():
+            a = a.compress(keep_cols, axis=1)
+    rows, cols = a.shape
+    if not (rows and cols):
+        return 0.0
+    ah = a.conj().T if np.iscomplexobj(a) else a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
+        gram = ah @ a if rows >= cols else a @ ah
+    d = gram.diagonal().real.max()
+    if _GRAM_LO <= d and d * len(gram) <= _GRAM_HI:
+        return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    s = np.abs(a).max()  # the norm itself when zero or not finite
+    return float(s if not 0.0 < s < np.inf else s * _norm2_one(a / s))
 
 
 def _take(stack, idx):
@@ -192,14 +214,18 @@ def _gram_norm2(a):
     if fits.any():
         out[fits] = np.sqrt(np.linalg.eigvalsh(gram[fits])[:, -1])
     for i in np.flatnonzero(~fits):
-        s = np.abs(a[i]).max()  # the norm itself when zero or not finite
-        out[i] = s if not 0.0 < s < np.inf else s * norm2(a[i] / s)
+        out[i] = _norm2_one(a[i])
     return out
 
 
 def svdvals(m) -> np.ndarray:
-    """Singular values of m in descending order."""
-    return spla.svdvals(m)
+    """Singular values of m in descending order.  For an (L, r, c) stack,
+    those of each slice, from one stacked LAPACK call; each row is bitwise
+    what the one-matrix call gives for its slice."""
+    m = np.asarray(m)
+    if m.ndim == 2:
+        return spla.svdvals(m)
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def svd(m, full_matrices: bool = True):

@@ -6,6 +6,8 @@ from conftest import N2, random_regular_pencil, random_index_pencil
 from adae.chains import (
     StaircaseForm,
     SubspaceChain,
+    _PROBE_MUS,
+    _pick_mu,
     build_chain,
     build_staircase,
     check_decomposition,
@@ -20,12 +22,14 @@ from adae.exceptions import (
     PatternViolation,
 )
 from adae.models import (
+    HeatWaveConfig,
     RLCConfig,
     WeierstrassSpec,
+    heat_wave_pencil,
     rlc_pencil,
     weierstrass_pencil,
 )
-from adae.numerics import Subspace, null_basis, range_basis
+from adae.numerics import Subspace, null_basis, range_basis, svdvals
 from adae.pencil import MatrixPencil, pseudo_resolvent
 
 
@@ -330,3 +334,43 @@ def test_y_impli_singular_A():
     p = MatrixPencil(np.eye(2), np.diag([0.0, 1.0]))
     with pytest.raises(NotInResolventSet):
         y_impli_check(p)
+
+
+def _index_corpus(seed):
+    """Weierstrass pencils of index 0-4, n 2-12, with and without an ODE
+    part, like the benchmark's index corpus."""
+    rng = np.random.default_rng(seed)
+    for k in range(5):
+        for n in range(max(2, k), 13):
+            n_ode = n if k == 0 else int(rng.integers(0, n - k + 1))
+            blocks = [k] if k else []
+            while sum(blocks) < n - n_ode:
+                rest = n - n_ode - sum(blocks)
+                blocks.append(int(rng.integers(1, min(k, rest) + 1)))
+            eigs = tuple(-rng.uniform(0.5, 4.0, n_ode))
+            yield weierstrass_pencil(WeierstrassSpec(
+                eigs, tuple(blocks), int(rng.integers(0, 2 ** 31))))[0]
+
+
+def test_pick_mu_matches_probe_loop():
+    # the stacked SVD takes bitwise the singular values that one svdvals
+    # per probe mu does, and _pick_mu picks the first mu of the largest
+    # sigma_min
+    pencils = [*_index_corpus(1), heat_wave_pencil(HeatWaveConfig(m=10)),
+               rlc_pencil(RLCConfig(m=12)).companion]
+    assert len(pencils) > 50
+    for p in pencils:
+        loop = np.array([spla.svdvals(p.A - mu * p.E) for mu in _PROBE_MUS])
+        stacked = svdvals(p.A - np.array(_PROBE_MUS)[:, None, None] * p.E)
+        assert stacked.tobytes() == loop.tobytes()
+        sig = list(loop[:, -1])
+        assert _pick_mu(p) == _PROBE_MUS[sig.index(max(sig))]
+
+
+def test_pick_mu_edge_cases():
+    assert _pick_mu(MatrixPencil(np.zeros((0, 0)), np.zeros((0, 0)))) == 0.0
+    # sigma_min(A - mu E) = |mu|: 7.9 wins
+    assert _pick_mu(MatrixPencil(np.eye(2), np.zeros((2, 2)))) == 7.9
+    # A - mu E = 0 for every mu
+    with pytest.raises(NotInResolventSet, match="no usable probe mu"):
+        _pick_mu(MatrixPencil(np.zeros((2, 2)), np.zeros((2, 2))))

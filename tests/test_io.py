@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adae.io import (
+    _CSV_BLOCK,
     atomic_write_text,
     write_csv_table,
     pencil_from_dict,
@@ -119,3 +123,92 @@ def test_malformed_pencil_json_raises(tmp_path):
     f.write_text("not json at all")
     with pytest.raises(json.JSONDecodeError):
         read_pencil_json(f)
+
+
+# -- the CSV kernel against repr, value by value ------------------------------
+
+def _repr_rows(table):
+    """The lines write_csv_table must write for table: repr(float(v)) of
+    every value, ", " between them."""
+    return "".join(", ".join(repr(float(v)) for v in row) + "\n"
+                   for row in table)
+
+
+def _assert_table_matches_repr(tmp_path, table):
+    f = tmp_path / "table.csv"
+    write_csv_table(f, ["a"] * table.shape[1], table)
+    got = f.read_text().split("\n", 1)[1]
+    want = _repr_rows(table)
+    if got != want:  # name the first value written differently
+        for g, w, row in zip(got.splitlines(), want.splitlines(), table):
+            assert g == w, [v for v in row
+                            if repr(float(v)) not in g.split(", ")]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=12),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_csv_values_match_repr(tmp_path_factory, table):
+    _assert_table_matches_repr(tmp_path_factory.mktemp("csv"), table)
+
+
+def _neighbours(x, k):
+    """x and its k nearest doubles on each side (no sign change)."""
+    bits = np.abs(np.asarray(x, dtype=float)).view(np.int64)
+    near = (bits[:, None] + np.arange(-k, k + 1)).ravel()
+    return near[near > 0].view(np.float64)
+
+
+_POWERS = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                          [float(f"1e{k}") for k in range(-323, 309)]])
+_FAMILIES = {
+    "random bit patterns": lambda rng, n: rng.integers(
+        0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+    "powers of 2 and 10, 20 neighbours each": lambda rng, n: _neighbours(
+        _POWERS, 20),
+    "1e-4 and 1e16, 25 000 neighbours each": lambda rng, n: _neighbours(
+        [1e-4, 1e16], 25_000),
+    "odd m / 2^k": lambda rng, n: (rng.integers(0, 2 ** 19, n) * 2 + 1
+                                   ) / 2.0 ** rng.integers(1, 64, n),
+    "short decimals": lambda rng, n: (rng.integers(-10 ** 6, 10 ** 6, n)
+                                      / 10.0 ** rng.integers(0, 12, n)),
+    "integers up to 2^53": lambda rng, n: rng.integers(
+        0, 2 ** 53, n, endpoint=True).astype(float),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_csv_value_families_match_repr(tmp_path, family):
+    rng = np.random.default_rng(23)
+    values = _FAMILIES[family](rng, 100_000)
+    assert values.size >= 100_000
+    # a random sign on each value, set on its bits
+    negative = rng.random(values.size) < 0.5
+    sign = negative.astype(np.uint64) << np.uint64(63)
+    values = (values.view(np.uint64) | sign).view(np.float64)
+    cols = 7
+    m = values.size // cols * cols
+    _assert_table_matches_repr(tmp_path, values[:m].reshape(-1, cols))
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_block_edges_match_repr(tmp_path, cols, extra):
+    # row counts around the block size, one- and three-column tables
+    rows = _CSV_BLOCK // cols + extra
+    rng = np.random.default_rng(cols + extra)
+    table = (rng.standard_normal((rows, cols))
+             * 10.0 ** rng.integers(-6, 18, (rows, cols)))
+    table[::97] = 0.0
+    _assert_table_matches_repr(tmp_path, table)
+
+
+def test_csv_empty_and_columnless_tables(tmp_path):
+    f = tmp_path / "t.csv"
+    write_csv_table(f, ["t", "energy"], np.empty((0, 2)))
+    assert f.read_text() == "t, energy\n"
+    write_csv_table(f, [], np.empty((3, 0)))
+    assert f.read_text() == "\n\n\n\n"
