@@ -25,7 +25,6 @@ from .exceptions import (
     ChainNotStabilized,
     ChainStalled,
     GridTooCoarse,
-    HorizonTooShort,
     InsufficientSmoothness,
     NotInResolventSet,
     NotInjectiveOnVk,
@@ -90,7 +89,6 @@ from .semigroup import (
     DegenerateSemigroup,
     degenerate_semigroup,
     laplace_consistency,
-    omega_stability_estimate,
 )
 from .solver import (
     SolveReport,

@@ -51,9 +51,5 @@ class InsufficientSmoothness(AdaeError):
         )
 
 
-class HorizonTooShort(AdaeError):
-    """Laplace truncation bound exceeds the tolerance at the given horizon."""
-
-
 class StepSingular(AdaeError):
     """E - h*A stayed singular after step-size retries."""

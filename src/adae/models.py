@@ -76,6 +76,10 @@ class RLCConfig:
     R: np.ndarray | None = None
     G: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("need m >= 1")
+
     def profile(self, name, default):
         arr = getattr(self, name)
         if arr is None:

@@ -424,6 +424,17 @@ def test_demo_bad_model_config_exits_one(tmp_path, capsys, argv, message):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["analyze", "--model", "rlc"],
+                                  ["generate", "--model", "rlc"],
+                                  ["demo", "rlc"]])
+def test_rlc_nonpositive_m_exits_one(tmp_path, capsys, argv, m):
+    code = main([*argv, "--m", m, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need m >= 1\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_demo_heat_wave_energy_nonincreasing(tmp_path):
     code = main(["demo", "heat-wave", "--m", "6", "--tf", "2.0",
                  "--steps", "50", "--out", str(tmp_path)])

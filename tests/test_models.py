@@ -42,6 +42,13 @@ def test_heat_wave_rejects_small_m():
         HeatWaveConfig(m=3)
 
 
+def test_rlc_needs_one_cell():
+    assert rlc_pencil(RLCConfig(m=1)).companion.shape == (4, 4)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            RLCConfig(m=m)
+
+
 def test_rlc_shapes_and_profiles():
     m = 6
     model = rlc_pencil(RLCConfig(m=m, R=np.full(m, 0.5)))

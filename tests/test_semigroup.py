@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_index_pencil
-from adae.exceptions import HorizonTooShort
+from adae.chains import _pick_mu
+from adae.models import HeatWaveConfig, heat_wave_pencil
 from adae.pencil import MatrixPencil, pseudo_resolvent
-from adae.semigroup import (
-    degenerate_semigroup,
-    evaluate,
-    laplace_consistency,
-    omega_stability_estimate,
-)
+from adae.semigroup import degenerate_semigroup, evaluate, laplace_consistency
 
 
 def test_evaluate_projector_at_zero(diag_pencil):
@@ -52,26 +48,6 @@ def test_semigroup_law():
     assert np.allclose(T1 @ T1 @ T1, T2, atol=1e-10)
 
 
-def test_omega_estimate_diagonal(diag_pencil):
-    tr = degenerate_semigroup(diag_pencil, 0.0, side="left")
-    om, M = omega_stability_estimate(tr)
-    assert abs(om + 1.0) < 0.05
-    assert abs(M - 1.0) < 0.05
-
-
-def test_omega_estimate_neutral():
-    p = MatrixPencil(np.eye(1), np.zeros((1, 1)))
-    tr = degenerate_semigroup(p, 1.0, side="left")
-    om, M = omega_stability_estimate(tr)
-    assert abs(om) < 0.05 and abs(M - 1.0) < 0.05
-
-
-def test_omega_estimate_zero_semigroup(semidiss_pencil):
-    tr = degenerate_semigroup(semidiss_pencil, 1.0, side="left")
-    om, M = omega_stability_estimate(tr)
-    assert om == -np.inf and M == 0.0
-
-
 def test_laplace_scalar():
     # integral of e^{-t} e^{-t} over [0, inf) = 1/2 = (1 - A_R)^{-1}
     p = MatrixPencil(np.eye(1), -np.eye(1))
@@ -93,10 +69,12 @@ def test_laplace_empty_dynamic_part(semidiss_pencil):
     assert laplace_consistency(tr, semidiss_pencil, 2.0) < 1e-12
 
 
-def test_laplace_horizon_too_short(ode_pencil):
+def test_laplace_refused_left_of_the_spectral_abscissa(ode_pencil):
+    # A_R = diag(-1, -2): the integral diverges for Re lam <= -1
     tr = degenerate_semigroup(ode_pencil, 0.0, side="left")
-    with pytest.raises(HorizonTooShort):
-        laplace_consistency(tr, ode_pencil, 0.5, horizon=1.0)
+    with pytest.raises(ValueError):
+        laplace_consistency(tr, ode_pencil, -1.5)
+    assert laplace_consistency(tr, ode_pencil, -0.5) <= 1e-12
 
 
 def test_laplace_index_two_pencil():
@@ -105,3 +83,14 @@ def test_laplace_index_two_pencil():
     for lam in (1.0, 2.5, 4.0):
         nrm = np.linalg.norm(pseudo_resolvent(p, lam, "left"), 2)
         assert laplace_consistency(tr, p, lam) <= 1e-7 * max(nrm, 1.0)
+
+
+@pytest.mark.parametrize("m", [10, 25, 50])
+def test_laplace_heat_wave(m):
+    # the paper's example: A_R is stiff (modes down to Re -2491 at m = 25)
+    # and its spectral abscissa lies just left of 0
+    p = heat_wave_pencil(HeatWaveConfig(m=m))
+    tr = degenerate_semigroup(p, _pick_mu(p), side="left")
+    for lam in (2.0, 10.0):
+        nrm = np.linalg.norm(pseudo_resolvent(p, lam, "left"), 2)
+        assert laplace_consistency(tr, p, lam) <= 1e-7 * nrm

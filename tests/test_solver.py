@@ -537,6 +537,8 @@ HOMOGENEOUS = dict(PENCILS, **{
     # nilpotent blocks of sizes 3 and 1: W block sizes 1, 1, 2 differ
     "weierstrass-3-1": lambda: weierstrass_pencil(
         WeierstrassSpec((-1.0, -2.5), (3, 1), 44))[0],
+    "index-2-61": lambda: random_index_pencil(61, 2),
+    "index-3-62": lambda: random_index_pencil(62, 3),
 })
 
 
