@@ -86,7 +86,6 @@ from .pencil import (
     pseudo_resolvent_residual,
 )
 from .semigroup import (
-    DegenerateSemigroup,
     degenerate_semigroup,
     laplace_consistency,
 )

@@ -9,11 +9,14 @@ diagonal blocks on the W part, and R(mu) compressed to V_k is invertible,
 yielding the restricted generator A_R = mu I + S^-1.
 
 `build_chain` is the one place that factors A - mu E for a (pencil, mu,
-side): the chain keeps that certified inverse and R(mu), and the staircase
-form, the restricted generator and the solvers all work from it.
+side): the chain keeps that certified inverse and R(mu).  The staircase form
+is the one owner of the split V_k (+) W_k: it keeps the restricted generator,
+R(mu) in staircase coordinates and the coupling K that places W_k, and the
+degenerate semigroup and both solve paths read them from it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -55,7 +58,6 @@ __all__ = [
     "check_decomposition",
     "build_staircase",
     "staircase_from_chain",
-    "compressed_inverse",
     "restricted_generator",
     "y_impli_check",
 ]
@@ -154,7 +156,9 @@ class StaircaseForm:
 
     Columns of `unitary` are ordered (V_k | W_k | ... | W_1); block_sizes
     lists the widths in the same order (the V_k block first, possibly 0).
-    `chain` is the Wong chain of R(mu) the form was derived from.
+    `chain` is the Wong chain of R(mu) the form was derived from.  The
+    restricted generator, R(mu) in these coordinates, N and K are computed
+    on first use, each once.
     """
 
     def __init__(self, p: MatrixPencil, chain: SubspaceChain,
@@ -174,6 +178,35 @@ class StaircaseForm:
     @property
     def dim_V(self) -> int:
         return self.block_sizes[0]
+
+    @cached_property
+    def generator(self) -> "RestrictedGenerator":
+        return restricted_generator(self.p, self.chain)
+
+    @cached_property
+    def R_mu(self) -> np.ndarray:
+        """R(mu) in staircase coordinates."""
+        return self.transform(self.mu)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        """The strictly upper block part of R(mu) on the W blocks."""
+        nV = self.dim_V
+        label = np.repeat(np.arange(self.k + 1), self.block_sizes)[nV:]
+        return np.where(label[:, None] < label[None, :],
+                        self.R_mu[nV:, nV:], 0)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """sum_{i<k} B^(i+1) R_0W N^i, B = S^-1: W_k = ker R(mu)^k is
+        {(-K w, w)} in staircase coordinates, so (v, w) has V_k coordinates
+        v + K w along W_k, and Q [I, K] U^* projects onto V_k along W_k."""
+        B = self.generator.S_inv
+        K = term = B @ self.R_mu[:self.dim_V, self.dim_V:]
+        for _ in range(self.k - 1):
+            term = B @ term @ self.N
+            K = K + term
+        return K
 
     def transform(self, lam: complex) -> np.ndarray:
         """R(lam) in staircase coordinates; at lam = mu the chain's R(mu)."""
@@ -260,7 +293,8 @@ def build_staircase(p: MatrixPencil, mu: complex,
 @dataclass
 class RestrictedGenerator:
     basis: Subspace
-    matrix: np.ndarray
+    matrix: np.ndarray  # A_R = mu I + S^-1
+    S_inv: np.ndarray   # S^-1, S = R(mu) compressed to V_k
     mu_used: complex
     side: str
 
@@ -269,9 +303,10 @@ class RestrictedGenerator:
         return self.matrix.shape[0]
 
 
-def compressed_inverse(p: MatrixPencil, chain: SubspaceChain) -> np.ndarray:
-    """S^-1 for S = Q^* R(mu) Q, R(mu) compressed to V_k (basis Q), once
-    V_k (+) W_k holds and R(mu) is injective on V_k."""
+def restricted_generator(p: MatrixPencil, chain: SubspaceChain) -> RestrictedGenerator:
+    """A_R on V_k from the graph {(R(mu)x, x + mu R(mu)x) : x in V_k}:
+    A_R = mu I + S^-1 for S = Q^* R(mu) Q, R(mu) compressed to V_k (basis
+    Q), once V_k (+) W_k holds and R(mu) is injective on V_k."""
     holds, _ = check_decomposition(chain, p.pol)
     if not holds:
         raise ChainNotStabilized("range/kernel decomposition does not hold")
@@ -283,15 +318,10 @@ def compressed_inverse(p: MatrixPencil, chain: SubspaceChain) -> np.ndarray:
                                      * max(norm2(R), 1.0) * len(S)):
         raise NotInjectiveOnVk(
             f"compressed R(mu) has min singular value {svals[-1]:.3e}")
-    return spla.inv(S)
-
-
-def restricted_generator(p: MatrixPencil, chain: SubspaceChain) -> RestrictedGenerator:
-    """A_R on V_k from the graph {(R(mu)x, x + mu R(mu)x) : x in V_k}."""
-    S_inv = compressed_inverse(p, chain)
+    S_inv = spla.inv(S)
     return RestrictedGenerator(basis=chain.V[chain.stabilization_k],
                                matrix=chain.mu * np.eye(len(S_inv)) + S_inv,
-                               mu_used=chain.mu, side=chain.side)
+                               S_inv=S_inv, mu_used=chain.mu, side=chain.side)
 
 
 def y_impli_check(p: MatrixPencil):

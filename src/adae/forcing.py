@@ -30,8 +30,7 @@ _LAGRANGE24 = np.rint(
 
 
 class ForcingSignal:
-    """Common interface: sample(ts, order), max_derivative_order, and
-    value(t)/derivative(t, order) as one-column samples."""
+    """Common interface: sample(ts, order) and max_derivative_order."""
 
     kind = "abstract"
     dim = 0
@@ -41,12 +40,6 @@ class ForcingSignal:
         """The order-th derivative at every time of ts, as (dim, len(ts)),
         float64 when the signal's data are real and complex128 otherwise."""
         raise NotImplementedError
-
-    def value(self, t):
-        return self.sample([t])[:, 0]
-
-    def derivative(self, t, order):
-        return self.sample([t], order)[:, 0]
 
     def require_order(self, order):
         if order > self.max_derivative_order:
@@ -88,10 +81,6 @@ class PolynomialForcing(ForcingSignal):
     @classmethod
     def zero(cls, dim, t_f):
         return cls.constant(np.zeros(dim), t_f)
-
-    def piece_index(self, t):
-        i = int(np.searchsorted(self.breakpoints, t, side="right") - 1)
-        return min(max(i, 0), len(self.coeffs) - 1)
 
     def sample(self, ts, order=0):
         ts = np.asarray(ts, dtype=float).reshape(-1)

@@ -116,10 +116,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim))
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, in ambient coordinates."""
-        return self.basis @ self.basis.conj().T
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 

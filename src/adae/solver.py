@@ -14,11 +14,13 @@ class "e^(-mu s) times vector polynomial" and the only floating-point error
 is the matrix exponential itself.  Sampled and callable forcing feed it
 the derivatives the signal supplies (a sampled signal's local quartic, a
 callable's own derivative functions), with per-step quadrature on V_k.
-Both paths read (A - mu E)^-1 and R_r(mu) from the Wong chain the staircase
-was derived from, so a solve factors A - mu E once.  Each path works in
-the result type of the data it is given (the staircase factors, x0, the
-forcing and mu), so a real pencil with real x0 and real forcing is solved
-in float64 end to end, and anything complex in complex128.
+Both paths read (A - mu E)^-1 from the Wong chain the staircase was derived
+from, and R_r(mu) in staircase coordinates, N, B and K from the staircase,
+so a solve factors A - mu E once and inverts the compressed R_r(mu) once.
+Each path works in the result type of the data it is given (the staircase
+factors, x0, the forcing and mu), so a real pencil with real x0 and real
+forcing is solved in float64 end to end, and anything complex in
+complex128.
 """
 
 from dataclasses import dataclass
@@ -27,12 +29,7 @@ from math import comb
 import numpy as np
 import scipy.linalg as spla
 
-from .chains import (
-    _pick_mu,
-    build_chain,
-    compressed_inverse,
-    staircase_from_chain,
-)
+from .chains import _pick_mu, build_chain, staircase_from_chain
 from .exceptions import (
     GridTooCoarse,
     InsufficientSmoothness,
@@ -110,24 +107,10 @@ def _check_forcing(f, t, n):
         raise ValueError("forcing breakpoints must lie on the time grid")
 
 
-def _staircase_parts(stair, mu):
-    """Set-up shared by both paths: U, U^* G with G = (A - mu E)^-1, dim V_k,
-    R(mu) in staircase coordinates, the strictly upper block part N of R on
-    W, B = the checked inverse of the V_k block of R, and K = sum_{i<k}
-    B^(i+1) R_0W N^i: W_k = ker R^k is {(-K w, w)} in these coordinates, so
-    the V_k component of (v, w) along W_k, v + K w, is continuous at t = 0
-    and at every breakpoint, where w jumps and v by -K (w_new - w_old)."""
-    U = stair.unitary
-    nV = stair.dim_V
-    Rt = stair.transform(mu)
-    label = np.repeat(np.arange(stair.k + 1), stair.block_sizes)[nV:]
-    N = np.where(label[:, None] < label[None, :], Rt[nV:, nV:], 0)
-    B = compressed_inverse(stair.p, stair.chain)
-    K = term = B @ Rt[:nV, nV:]
-    for _ in range(stair.k - 1):
-        term = B @ term @ N
-        K = K + term
-    return U, U.conj().T @ stair.chain.G, nV, Rt, N, B, K
+def _restart(K, v_old, w_old, w_new):
+    """V_k coordinates after the W part jumps from w_old to w_new, at t = 0
+    and at breakpoints: v + K w, the part along W_k, is continuous."""
+    return v_old - K @ (w_new - w_old)
 
 
 def _w_coordinates(N, gW):
@@ -154,8 +137,9 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
     D = -mu I + diag(1..d, -1).  The same D generates the companion state
     z(s) = e^(-mu s) (1, s, ..., s^d), which the V_k stepping carries along.
     """
-    U, UhG, nV, Rt, N, B, K = _staircase_parts(stair, mu)
-    k = stair.k
+    U, nV, k = stair.unitary, stair.dim_V, stair.k
+    UhG = U.conj().T @ stair.chain.G
+    Rt, N, B = stair.R_mu, stair.N, stair.generator.S_inv
     top = k if nV else k - 1
     dtype = np.result_type(U, UhG, B, x0, mu, *f.coeffs)
     xt = np.zeros((p.n, t.size), dtype=dtype)  # staircase coords of x_mu
@@ -180,8 +164,7 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
         powers = s ** np.arange(d + 1)[:, None]
         xt[nV:, j0:j1 + 1] = np.exp(-mu * s) * (xW[0] @ powers)
         if nV:
-            # the V_k component along W_k is continuous (_staircase_parts)
-            xV = xV - K @ (xt[nV:, j0] - old_w)
+            xV = _restart(stair.K, xV, old_w, xt[nV:, j0])
             # ODE x' = B x + B h_sig with h_sig = f_V - R_0W x_W'
             h_sig = F[:nV] - Rt[:nV, nV:] @ xW[1] if k else F[:nV]
             Maug = np.zeros((nV + d + 1, nV + d + 1), dtype=dtype)
@@ -221,8 +204,9 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
     point by point.  A callable's samples are typed block by block, so the
     trajectory turns complex at the first block whose forcing is.
     """
-    U, UhG, nV, Rt, N, B, K = _staircase_parts(stair, mu)
-    k = stair.k
+    U, nV, k = stair.unitary, stair.dim_V, stair.k
+    UhG = U.conj().T @ stair.chain.G
+    Rt, N, B = stair.R_mu, stair.N, stair.generator.S_inv
     top = k if nV else k - 1
 
     xt = np.zeros((p.n, t.size), dtype=np.result_type(U, UhG, B, x0, mu))
@@ -241,9 +225,9 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
             xt[nV:, b0:b0 + tb.size] = xW[0]
         if not nV:
             continue
-        if not b0:  # start on V_k along W_k (see _staircase_parts)
+        if not b0:  # start on V_k along W_k
             y0 = U.conj().T @ x0
-            xV = y0[:nV] - K @ (xt[nV:, 0] - y0[nV:])
+            xV = _restart(stair.K, y0[:nV], y0[nV:], xt[nV:, 0])
             xt[:nV, 0] = xV
         # steps [t_j, t_j + h] starting in this block; Gauss quadrature of
         # int e^((h - tau) B) B h_sig(t_j + tau) with h_sig = f_V - R_0W x_W'

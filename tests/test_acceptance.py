@@ -329,7 +329,7 @@ def test_criterion_10_rlc_model():
 
 
 def test_criterion_11_laplace_consistency():
-    # quadrature of the transformed semigroup matches the resolvent on V_k
+    # the transformed semigroup, in closed form, matches the resolvent on V_k
     # within 1e-7 ||R(lam)|| for 3 pencils x 3 lambda
     pencils = [
         MatrixPencil(np.eye(1), -np.eye(1)),

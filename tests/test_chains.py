@@ -63,7 +63,8 @@ def _all_levels(p, mu, n_levels):
     V, W = [Subspace.full(n)], [Subspace.zero(n)]
     while len(V) < n_levels:
         V.append(range_basis(R @ V[-1].basis, p.pol))
-        W.append(null_basis((np.eye(n) - W[-1].projector()) @ R, p.pol))
+        Wb = W[-1].basis
+        W.append(null_basis((np.eye(n) - Wb @ Wb.conj().T) @ R, p.pol))
     return V, W
 
 

@@ -14,22 +14,22 @@ def test_polynomial_value_and_derivative():
     c = np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 0.0]])
     f = PolynomialForcing.from_coeffs(c, 2.0)
     t = 0.7
-    assert np.allclose(f.value(t), [1 + 2 * t + 3 * t * t, 4 * t])
-    assert np.allclose(f.derivative(t, 1), [2 + 6 * t, 4.0])
-    assert np.allclose(f.derivative(t, 2), [6.0, 0.0])
-    assert np.allclose(f.derivative(t, 3), [0.0, 0.0])
+    assert np.allclose(f.sample([t])[:, 0], [1 + 2 * t + 3 * t * t, 4 * t])
+    assert np.allclose(f.sample([t], 1)[:, 0], [2 + 6 * t, 4.0])
+    assert np.allclose(f.sample([t], 2)[:, 0], [6.0, 0.0])
+    assert np.allclose(f.sample([t], 3)[:, 0], [0.0, 0.0])
 
 
 def test_polynomial_pieces():
     # f = t on [0,1], f = 1 - 2(t-1) on [1,2]
     f = PolynomialForcing([0.0, 1.0, 2.0],
                           [np.array([[0.0, 1.0]]), np.array([[1.0, -2.0]])])
-    assert abs(f.value(0.5)[0] - 0.5) < 1e-15
-    assert abs(f.value(1.5)[0] + 0.0) < 1e-15
-    assert abs(f.derivative(0.5, 1)[0] - 1.0) < 1e-15
-    assert abs(f.derivative(1.5, 1)[0] + 2.0) < 1e-15
+    assert abs(f.sample([0.5])[0, 0] - 0.5) < 1e-15
+    assert abs(f.sample([1.5])[0, 0] + 0.0) < 1e-15
+    assert abs(f.sample([0.5], 1)[0, 0] - 1.0) < 1e-15
+    assert abs(f.sample([1.5], 1)[0, 0] + 2.0) < 1e-15
     # out-of-range times clamp to the nearest piece
-    assert abs(f.value(2.5)[0] + 2.0) < 1e-15
+    assert abs(f.sample([2.5])[0, 0] + 2.0) < 1e-15
 
 
 def test_polynomial_validation():
@@ -45,10 +45,11 @@ def test_sampled_accuracy():
     t = np.linspace(0.0, 2.0, 401)
     f = SampledForcing(t, np.vstack([np.sin(t), t ** 3]))
     for s in (0.3, 1.0, 1.97):
-        assert np.allclose(f.value(s), [np.sin(s), s ** 3], atol=1e-7)
-        assert np.allclose(f.derivative(s, 1), [np.cos(s), 3 * s * s],
+        assert np.allclose(f.sample([s])[:, 0], [np.sin(s), s ** 3],
+                           atol=1e-7)
+        assert np.allclose(f.sample([s], 1)[:, 0], [np.cos(s), 3 * s * s],
                            atol=1e-6)
-        assert np.allclose(f.derivative(s, 2), [-np.sin(s), 6 * s],
+        assert np.allclose(f.sample([s], 2)[:, 0], [-np.sin(s), 6 * s],
                            atol=1e-4)
 
 
@@ -57,7 +58,7 @@ def test_sampled_order_cap():
     f = SampledForcing(t, np.zeros((1, 11)))
     assert f.max_derivative_order == 2
     with pytest.raises(InsufficientSmoothness):
-        f.derivative(0.5, 3)
+        f.sample([0.5], 3)
 
 
 def test_sampled_validation():
@@ -79,16 +80,16 @@ def test_sampled_needs_six_samples():
     f = SampledForcing(t, t[None, :] ** 2)
     assert np.max(np.abs(f.sample(t, 1)[0] - 2 * t)) < 1e-12
     for ti in t:
-        assert abs(f.derivative(ti, 1)[0] - 2 * ti) < 1e-12
+        assert abs(f.sample([ti], 1)[0, 0] - 2 * ti) < 1e-12
 
 
 def test_callable_forcing():
     f = CallableForcing(1, lambda t: [np.exp(t)],
                         derivatives=[lambda t: [np.exp(t)]])
-    assert abs(f.value(0.5)[0] - np.exp(0.5)) < 1e-15
-    assert abs(f.derivative(0.5, 1)[0] - np.exp(0.5)) < 1e-15
+    assert abs(f.sample([0.5])[0, 0] - np.exp(0.5)) < 1e-15
+    assert abs(f.sample([0.5], 1)[0, 0] - np.exp(0.5)) < 1e-15
     with pytest.raises(InsufficientSmoothness):
-        f.derivative(0.5, 2)
+        f.sample([0.5], 2)
 
 
 @pytest.mark.parametrize("got", [[1.0], [1.0, 2.0, 3.0]],
@@ -150,8 +151,8 @@ def test_forcing_refuses_non_finite_data(bad):
 
 def test_zero_forcing():
     f = PolynomialForcing.zero(3, 5.0)
-    assert np.allclose(f.value(2.0), np.zeros(3))
-    assert np.allclose(f.derivative(2.0, 4), np.zeros(3))
+    assert np.allclose(f.sample([2.0])[:, 0], np.zeros(3))
+    assert np.allclose(f.sample([2.0], 4)[:, 0], np.zeros(3))
 
 
 def _sampled_quartics(seed):
@@ -194,7 +195,8 @@ def test_sampled_sample_matches_per_point_bitwise(order):
 
 def _polynomial_reference(f, t, order):
     """Per-point derivative of a PolynomialForcing, term by term."""
-    i = f.piece_index(t)
+    i = min(max(int(np.searchsorted(f.breakpoints, t, side="right")) - 1, 0),
+            len(f.coeffs) - 1)
     s = t - f.breakpoints[i]
     c = f.coeffs[i]
     out = np.zeros(f.dim, dtype=complex)

@@ -264,7 +264,6 @@ def test_real_models_reach_lapack_in_real_arithmetic(tmp_path, monkeypatch):
 # is deleted, has to leave this list too.
 _UNREACHED = {
     "chains.RestrictedGenerator.dim": "acceptance criterion 03",
-    "chains.restricted_generator": "acceptance criterion 03",
     "chains.build_staircase": "acceptance criterion 04",
     "chains.StaircaseForm.pattern_residual": "acceptance criterion 04",
     "growth.certify_D1": "acceptance criterion 05",
@@ -274,13 +273,8 @@ _UNREACHED = {
     "pencil.pseudo_resolvent_residual": "acceptance criterion 01",
     "semigroup.degenerate_semigroup": "acceptance criterion 11",
     "semigroup.laplace_consistency": "acceptance criterion 11",
-    "semigroup.DegenerateSemigroup.dim_V": "ROADMAP item 5",
     "semigroup.evaluate": "ROADMAP item 5",
     "forcing.CallableForcing.sample": "test reference: exact derivatives",
-    "forcing.ForcingSignal.value": "test reference: one-time samples",
-    "forcing.ForcingSignal.derivative": "test reference: one-time samples",
-    "forcing.PolynomialForcing.piece_index": "test reference: piece lookup",
-    "numerics.Subspace.projector": "test reference: subspace distances",
 }
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from conftest import random_index_pencil
 from adae.chains import _pick_mu
@@ -94,3 +95,31 @@ def test_laplace_heat_wave(m):
     for lam in (2.0, 10.0):
         nrm = np.linalg.norm(pseudo_resolvent(p, lam, "left"), 2)
         assert laplace_consistency(tr, p, lam) <= 1e-7 * nrm
+
+
+REFERENCE_PENCILS = {
+    "index-1": lambda: random_index_pencil(71, 1),
+    "index-2": lambda: random_index_pencil(72, 2),
+    "index-3": lambda: random_index_pencil(73, 3),
+    "heat-wave-10": lambda: heat_wave_pencil(HeatWaveConfig(m=10)),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_PENCILS))
+def test_projector_matches_the_inverse_of_Q_and_Wk(name, side):
+    # T_R(0) = Q [I, K] U^* from the staircase against Q inv([Q, W_k]) cut
+    # to its first dim V_k rows, with W_k from the kernel chain; T_R(0) is
+    # idempotent, the identity on V_k and zero on W_k
+    p = REFERENCE_PENCILS[name]()
+    tr = degenerate_semigroup(p, _pick_mu(p), side)
+    Q = tr.generator.basis.basis
+    Wk = tr.chain.W[tr.chain.stabilization_k].basis
+    assert 0 < tr.dim_V < p.n and Wk.shape[1] == p.n - tr.dim_V
+    want = Q @ spla.inv(np.hstack([Q, Wk]))[:tr.dim_V]
+    P = evaluate(tr, 0.0)
+    scale = np.linalg.norm(want, 2)
+    assert np.linalg.norm(P - want, 2) <= 1e-12 * scale
+    assert np.linalg.norm(P @ P - P, 2) <= 1e-12 * scale
+    assert np.linalg.norm(P @ Q - Q, 2) <= 1e-12 * scale
+    assert np.linalg.norm(P @ Wk, 2) <= 1e-12 * scale

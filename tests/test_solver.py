@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg as spla
 
 from conftest import random_index_pencil
-from adae import solver
+from adae import chains, solver
 from adae.chains import build_staircase
+from adae.cli import main
 from adae.exceptions import GridTooCoarse, InsufficientSmoothness
 from adae.forcing import (
     CallableForcing,
@@ -233,8 +234,9 @@ def test_euler_matches_per_step_solves(name, dtype):
 
 
 def _as_callable(poly):
-    return CallableForcing(poly.dim, poly.value, derivatives=[
-        lambda s, o=o: poly.derivative(s, o) for o in (1, 2, 3)])
+    return CallableForcing(poly.dim, lambda s: poly.sample([s])[:, 0],
+                           derivatives=[lambda s, o=o: poly.sample([s], o)[:, 0]
+                                        for o in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("path", ["staircase-exact", "staircase-fd"])
@@ -349,7 +351,7 @@ def _fd_reference(p, stair, x0, f, t, h, mu):
         acc = np.zeros(p.n, dtype=complex)
         for j in range(order + 1):
             acc += (comb(order, j) * (-mu) ** (order - j)
-                    * (G @ f.derivative(ti, j)))
+                    * (G @ f.sample([ti], j)[:, 0]))
         return (np.exp(-mu * ti) * (Uh @ acc))[edges[q]:edges[q + 1]]
 
     def x_block(q, ti, order):
@@ -392,7 +394,7 @@ def _residuals_reference(p, report, f):
     """Classical residual with one stencil and one norm per grid point."""
     t, x = report.times, report.trajectory
     h = float(t[1] - t[0])
-    fv = np.column_stack([f.value(ti) for ti in t])
+    fv = np.column_stack([f.sample([ti])[:, 0] for ti in t])
     Ex, Ax = p.E @ x, p.A @ x
     scale = (1.0 + np.linalg.norm(p.E, 2) * np.max(np.linalg.norm(x, axis=0))
              + np.linalg.norm(p.A, 2) * np.max(np.linalg.norm(x, axis=0))
@@ -519,8 +521,7 @@ def test_fd_path_matches_exact_path(name, n_points):
     p, mu, stair, t, h, x0 = _setup(name, n_points)
     poly = PolynomialForcing.from_coeffs(
         np.random.default_rng(5).standard_normal((p.n, 3)), t[-1])
-    f = CallableForcing(p.n, poly.value, derivatives=[
-        lambda s, o=o: poly.derivative(s, o) for o in (1, 2, 3)])
+    f = _as_callable(poly)
     exact = solve_decoupled(p, x0, poly, t, mu=mu)
     fd = solve_decoupled(p, x0, f, t, mu=mu)
     assert (exact.method, fd.method) == ("staircase-exact", "staircase-fd")
@@ -560,7 +561,7 @@ def test_homogeneous_stepping_matches_semigroup(name):
         assert _rel_dev(rep.trajectory, want) < 1e-12
     else:
         assert not np.any(rep.trajectory)
-    assert np.allclose(rep.consistent_x0, tr.proj_V @ x0, atol=1e-13)
+    assert np.allclose(rep.consistent_x0, evaluate(tr, 0.0) @ x0, atol=1e-13)
 
 
 def _real_index2():
@@ -623,7 +624,7 @@ def test_solutions_match_the_eigen_expansion(name):
     for got in (exact.trajectory, fd.trajectory, semigroup):
         assert _rel_dev(got, want) <= 1e-12
     Wk = build_staircase(p, exact.mu_used, side="right").chain.W[exact.index_k]
-    assert Wk.dim == p.n - len(tr.gen.matrix) > 0
+    assert Wk.dim == p.n - len(tr.generator.matrix) > 0
     z = Wk.basis @ rng.standard_normal(Wk.dim)
     z *= 5.0 * np.linalg.norm(x0) / np.linalg.norm(z)
     for path in (lambda y: solve_homogeneous(p, y, t),
@@ -670,3 +671,35 @@ def test_fd_memory_flat_in_steps():
     # the staircase trajectory, U @ it and the shifted result: n x N each
     outputs = 3 * p.n * (large - small) * 16
     assert growth < 1.1 * outputs
+
+
+def test_solve_takes_one_compressed_inverse(tmp_path, monkeypatch):
+    # each path reads R(mu) in staircase coordinates, N, B = S^-1 and K from
+    # the staircase, which forms R(mu)'s transform and the compressed
+    # inverse once each; analyze forms neither
+    p = random_index_pencil(43, 2, n_ode=3)
+    t = np.linspace(0.0, 1.0, 41)
+    counts = {}
+    generator = chains.restricted_generator
+    transform = chains.StaircaseForm.transform
+
+    def counted_generator(*args):
+        counts["generator"] = counts.get("generator", 0) + 1
+        return generator(*args)
+
+    def counted_transform(self, lam):
+        if lam == self.mu:
+            counts["R_mu"] = counts.get("R_mu", 0) + 1
+        return transform(self, lam)
+    monkeypatch.setattr(chains, "restricted_generator", counted_generator)
+    monkeypatch.setattr(chains.StaircaseForm, "transform", counted_transform)
+    poly = PolynomialForcing.from_coeffs(
+        np.random.default_rng(5).standard_normal((p.n, 3)), t[-1])
+    for f in (poly, _as_callable(poly)):
+        counts.clear()
+        solve_decoupled(p, np.ones(p.n), f, t)
+        assert counts == {"generator": 1, "R_mu": 1}
+    counts.clear()
+    assert main(["analyze", "--model", "weierstrass", "--index", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert counts == {}

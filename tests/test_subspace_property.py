@@ -12,7 +12,8 @@ def _projector_difference(u, v):
     """The gap as the 2-norm of P_u - P_v, from the n x n projectors."""
     if u.dim == 0:
         return 0.0
-    return float(min(np.linalg.norm(u.projector() - v.projector(), 2), 1.0))
+    Pu, Pv = u.basis @ u.basis.conj().T, v.basis @ v.basis.conj().T
+    return float(min(np.linalg.norm(Pu - Pv, 2), 1.0))
 
 
 @settings(max_examples=300, deadline=None)
