@@ -339,6 +339,6 @@ def y_impli_check(p: MatrixPencil):
         return True
     kerE = Subspace(p.n, vh[r:].conj().T)
     # {y : A y in ran E} = preimage: the kernel of the complement's rows
-    # against A (not empty, as E has at least as many rows as columns)
+    # against A (n - r > 0 of them, as E is square and r < n)
     pre = null_basis(u[:, r:].conj().T @ p.A, p.pol)
     return subspace_intersection(kerE, pre, p.pol).dim == 0

@@ -151,9 +151,6 @@ def cmd_analyze(args):
     if inputs is None:
         return 1
     p, grid = inputs
-    if not p.is_square:
-        print("error: analyze requires a square pencil", file=sys.stderr)
-        return 1
     if not p.regular:
         print("error: pencil not regular", file=sys.stderr)
         return 1

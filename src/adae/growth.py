@@ -31,7 +31,6 @@ from .numerics import (
     null_basis,
     range_basis,
     rank_from_svals,
-    subspace_intersection,
     svd,
     svdvals,
 )
@@ -149,8 +148,7 @@ class _Sweep:
         ran R(omega)^(k-1), or None when that space is trivial."""
         key = (k, omega, side)
         if key not in self._restrictions:
-            n = self.p.E.shape[0] if side == "left" else self.p.n
-            Q = Subspace.full(n)
+            Q = Subspace.full(self.p.n)
             if k > 1:
                 if (omega, side) not in self.at:
                     self.at[omega, side] = pseudo_resolvent(self.p, omega,
@@ -390,8 +388,6 @@ def check_left_dissipativity(p: MatrixPencil, omega: float = 0.0) -> GrowthCerti
     residual_tol * scale, the Hilbert-space form of (lambda-omega)||Ex|| <=
     ||(lambda E - A)x||.
     """
-    if not p.is_square:
-        raise ValueError("dissipativity check requires a square pencil")
     H = _herm(p.E.conj().T @ p.A) - omega * (p.E.conj().T @ p.E)
     lam_max = float(np.max(spla.eigvalsh(H))) if p.n else 0.0
     scale = p.norm_E * p.norm_A + p.norm_E ** 2 + 1.0
@@ -402,27 +398,20 @@ def check_left_dissipativity(p: MatrixPencil, omega: float = 0.0) -> GrowthCerti
                              detail=f"lambda_max(Herm(E^H A) - w E^H E) = {lam_max:.3e}")
 
 
-def _prerequisite_failure(p):
-    """The first failing prerequisite shared by the D certificates, trivial
-    ker E /\\ ker A and a surjective lambda0 E - A for some lambda0 > omega,
-    or None.  A square pencil has such a lambda0 exactly when det(lambda E
-    - A) is not identically zero, which is p.regular."""
-    kerE = null_basis(p.E, p.pol)
-    kerA = null_basis(p.A, p.pol)
-    if (kerE.dim and kerA.dim
-            and subspace_intersection(kerE, kerA, p.pol).dim):
-        return "ker E and ker A intersect nontrivially"
-    if not p.regular:
-        return "no full-rank probe lambda0 > omega found"
-    return None
+# The D certificates' prerequisite is regularity (p.regular): a square
+# pencil has a surjective lambda0 E - A for some lambda0 > omega exactly when
+# det(lambda E - A) is not identically zero, and then ker E /\\ ker A = {0},
+# as a common null vector makes det(lambda E - A) vanish for every lambda.
+_NOT_REGULAR = "no full-rank probe lambda0 > omega found"
 
 
 def certify_D1(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     """Sufficient conditions for (D_1) with M = 1.
 
-    Dissipativity + trivial ker E /\\ ker A + a surjective lambda0 E - A give
-    ||E (A - lambda E)^-1|| <= 1/(lambda - omega).  The verdict comes from
-    these hypotheses alone; check_Dk measures the constant on a grid.
+    Dissipativity and regularity (which gives a surjective lambda0 E - A
+    and trivial ker E /\\ ker A) give ||E (A - lambda E)^-1|| <= 1/(lambda -
+    omega).  The verdict comes from these hypotheses alone; check_Dk
+    measures the constant on a grid.
     """
     return certify_D1_from(p, check_left_dissipativity(p, omega))
 
@@ -434,7 +423,7 @@ def certify_D1_from(p: MatrixPencil, diss: GrowthCertificate
     if diss.verdict != "holds":
         failure = "dissipativity fails: " + diss.detail
     else:
-        failure = _prerequisite_failure(p)
+        failure = None if p.regular else _NOT_REGULAR
     return GrowthCertificate("D1-cert", 1, diss.omega, 1.0,
                              "fails" if failure else "holds",
                              detail=failure or "")
@@ -444,9 +433,10 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     """Sufficient conditions for (D_2) with M = M1/M2.
 
     E self-adjoint nonnegative with closed range, A - omega E dissipative,
-    trivial kernel intersection, and a surjective probe; M1/M2 are the
-    extreme nonzero singular values of E.  The verdict comes from these
-    hypotheses alone; check_Dk measures the constant on a grid.
+    and a regular pencil (a surjective lambda0 E - A and trivial ker E /\\
+    ker A); M1/M2 are the extreme nonzero singular values of E.  The
+    verdict comes from these hypotheses alone; check_Dk measures the
+    constant on a grid.
     """
     def fails(why):
         return GrowthCertificate("D2-cert", 2, omega, np.inf, "fails",
@@ -462,9 +452,8 @@ def certify_D2(p: MatrixPencil, omega: float = 0.0) -> GrowthCertificate:
     lam_max = float(np.max(spla.eigvalsh(HA))) if p.n else 0.0
     if lam_max > p.pol.residual_tol * (p.norm_A + scale):
         return fails("A - omega E is not dissipative")
-    failure = _prerequisite_failure(p)
-    if failure:
-        return fails(failure)
+    if not p.regular:
+        return fails(_NOT_REGULAR)
     svals = svdvals(p.E)
     r = rank_from_svals(svals, p.E.shape, p.pol)
     if r == 0:
@@ -500,8 +489,6 @@ def _oblique_projector(onto: Subspace, must_contain: Subspace, pol):
 def tractability_chain(p: MatrixPencil) -> TractabilityChain:
     """Projector chain E_{i+1} = E_i - A_i Q_i, A_{i+1} = A_i P_i, for at
     most n + 1 stages."""
-    if not p.is_square:
-        raise ValueError("tractability chain requires a square pencil")
     n = p.n
     E_i, A_i = p.E.copy(), p.A.copy()
     stages = []

@@ -92,15 +92,14 @@ class RLCConfig:
 
 @dataclass
 class RLCModel:
-    """Rectangular boundary-structured pencil plus its squared companion.
+    """The RLC line as a square companion pencil with its boundary rows.
 
-    State layout (companion): (I_{1/2}, ..., I_{m-1/2}, V_0, ..., V_{m-1},
-    I_0, V_m); the two extra unknowns are the boundary current at 0 and the
-    boundary voltage at 1, with zero mass.  The last two rows are the
+    State layout: (I_{1/2}, ..., I_{m-1/2}, V_0, ..., V_{m-1}, I_0, V_m);
+    the two extra unknowns are the boundary current at 0 and the boundary
+    voltage at 1, with zero mass.  The last two rows are the
     point-evaluation boundary conditions V(0) = u0 and -I(1) = i1.
     """
-    boundary: MatrixPencil   # (2m+2) x 2m, rows [interior; Gamma]
-    companion: MatrixPencil  # (2m+2) x (2m+2) square
+    companion: MatrixPencil  # (2m+2) x (2m+2), rows [interior; Gamma]
     m: int
 
     def boundary_forcing_indices(self):
@@ -148,14 +147,7 @@ def rlc_pencil(cfg: RLCConfig,
     Gamma[1, m - 1] = -1.0     # -delta_1 on I
     A_sq = np.vstack([A_int, Gamma])
     E_sq = np.vstack([E_int, np.zeros((2, 2 * m + 2))])
-    companion = MatrixPencil(E_sq, A_sq, pol)
-
-    # rectangular variant: drop the extra unknowns (their ghost values are 0)
-    keep = list(range(2 * m))
-    A_rect = A_sq[:, keep]
-    E_rect = E_sq[:, keep]
-    boundary = MatrixPencil(E_rect, A_rect, pol)
-    return RLCModel(boundary=boundary, companion=companion, m=m)
+    return RLCModel(companion=MatrixPencil(E_sq, A_sq, pol), m=m)
 
 
 @dataclass(frozen=True)

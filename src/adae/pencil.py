@@ -47,23 +47,23 @@ __all__ = [
 
 
 class MatrixPencil:
-    """Pair (E, A) of matrices sharing dimensions and one dtype: float64
-    when neither has an imaginary part, complex128 otherwise.
+    """Pair (E, A) of square matrices of one size and one dtype: float64
+    when neither has an imaginary part, complex128 otherwise.  A pencil
+    that is not square has no lambda with lam*E - A bijective, so it is
+    refused.
 
     `regular` is the regularity probe (rank of lam*E - A at pseudo-random
-    lambda), taken on first use; rectangular pencils (more rows than
-    columns, boundary-row structure from the models module) read None.
+    lambda), taken on first use.
     """
 
     def __init__(self, E, A, pol: TolerancePolicy = DEFAULT_POLICY):
         E, A = as_matrix(E), as_matrix(A)
+        if E.shape != A.shape or E.shape[0] != E.shape[1]:
+            raise ValueError("E and A must be square matrices of one size, "
+                             f"got {E.shape} and {A.shape}")
         dtype = np.result_type(E, A)
         self.E = E.astype(dtype, copy=False)
         self.A = A.astype(dtype, copy=False)
-        if self.E.shape != self.A.shape:
-            raise ValueError("E and A must share dimensions")
-        if self.E.shape[0] < self.E.shape[1]:
-            raise ValueError("pencils with fewer rows than columns unsupported")
         self.pol = pol
 
     @property
@@ -73,10 +73,6 @@ class MatrixPencil:
     @property
     def n(self) -> int:
         return self.E.shape[1]
-
-    @property
-    def is_square(self) -> bool:
-        return self.E.shape[0] == self.E.shape[1]
 
     # E and A are never reassigned after construction, so their spectral
     # norms are computed once, on first use
@@ -89,10 +85,9 @@ class MatrixPencil:
         return norm2(self.A)
 
     @cached_property
-    def regular(self) -> bool | None:
-        """Is det(lam E - A) not identically zero?  None when not square."""
-        if self.is_square:
-            return probe_regularity(self.E, self.A, self.pol)
+    def regular(self) -> bool:
+        """Is det(lam E - A) not identically zero?"""
+        return probe_regularity(self.E, self.A, self.pol)
 
     def norm_scale(self) -> float:
         return max(self.norm_E, self.norm_A, 1.0)
@@ -229,8 +224,6 @@ def _resolvents(p: MatrixPencil, lams):
     """Certified inverses of lam*E - A for each lam of `lams`: the (L, n, n)
     stack of `_certified_inverse` and, per lam, None or why it is not in
     the resolvent set."""
-    if not p.is_square:
-        raise ValueError("resolvent_at requires a square pencil")
     m = np.asarray(lams)[:, None, None] * p.E - p.A
     return _certified_inverse(m, lams)
 

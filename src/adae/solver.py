@@ -74,8 +74,6 @@ def _shifted_derivative(gf, mu, ts, order):
 
 
 def _check_grid(p, t_grid):
-    if not p.is_square:
-        raise ValueError("solver requires a square pencil")
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         raise GridTooCoarse("time grid needs at least 2 points")

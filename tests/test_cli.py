@@ -243,6 +243,21 @@ def test_analyze_missing_file_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve", "generate"])
+def test_tall_pencil_input_exits_one(tmp_path, capsys, command):
+    f = tmp_path / "tall.json"
+    f.write_text(json.dumps({"rows": 3, "cols": 2, "E_re": [0.0] * 6,
+                             "E_im": [0.0] * 6, "A_re": [1.0] * 6,
+                             "A_im": [0.0] * 6}))
+    out = tmp_path / "out"
+    code = main([command, "--input", str(f), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: E and A must be square matrices of one size, "
+        "got (3, 2) and (3, 2)\n")
+    assert list(out.iterdir()) == []
+
+
 def test_solve_polynomial_forcing(tmp_path):
     f = tmp_path / "pencil.json"
     write_pencil(f, [[0.0, 1.0], [0.0, 0.0]], np.eye(2))

@@ -133,6 +133,22 @@ def test_certify_D2_takes_singular_values_of_E_once(monkeypatch):
     assert sum(np.array_equal(args[0], p.E) for args in calls) == 1
 
 
+def test_certificates_fail_on_a_common_null_vector():
+    # a square pencil with ker E /\ ker A != {0} is singular, so the D
+    # certificates fail on regularity, their one prerequisite
+    rng = np.random.default_rng(3)
+    v = np.array([1.0, -2.0, 0.5])
+    E = np.eye(3) - np.outer(v, v) / (v @ v)  # orthogonal projector, E v = 0
+    A = -E - E @ np.diag(rng.uniform(1.0, 2.0, 3)) @ E  # dissipative, A v = 0
+    p = MatrixPencil(E, A)
+    assert np.allclose(E @ v, 0) and np.allclose(A @ v, 0)
+    assert p.regular is False
+    for certify in (certify_D1, certify_D2):
+        c = certify(p)
+        assert c.verdict == "fails"
+        assert c.detail == "no full-rank probe lambda0 > omega found"
+
+
 def test_certificates_invert_nothing(monkeypatch, semidiss_pencil):
     # D1 and D2 are decided by their hypotheses alone: where they hold, no
     # lambda is inverted and no evidence is recorded
@@ -154,8 +170,9 @@ def _is_shifted_pencil(M, p):
 
 
 def test_certificates_factor_no_shifted_pencil(monkeypatch, semidiss_pencil):
-    # the surjectivity hypothesis is p.regular, probed once per pencil: the
-    # certificates take no SVD of lambda0 E - A, and no further probe
+    # the prerequisite is p.regular, probed once per pencil: certify_D1
+    # takes no SVD, certify_D2 only the singular values of E, and neither
+    # takes an SVD of lambda0 E - A or a further probe
     pencils = ((certify_D1, MatrixPencil(np.eye(2), SKEW)),
                (certify_D1, MatrixPencil(np.diag([1.0, 0.0]), -np.eye(2))),
                (certify_D2, semidiss_pencil),
@@ -168,8 +185,12 @@ def test_certificates_factor_no_shifted_pencil(monkeypatch, semidiss_pencil):
     for certify, p in pencils:
         del svd[:], svdvals[:]
         assert certify(p).verdict == "holds"
-        args = [a[0] for a in svd + svdvals]
-        assert args and not [m for m in args if _is_shifted_pencil(m, p)]
+        assert svd == []
+        args = [a[0] for a in svdvals]
+        if certify is certify_D1:
+            assert args == []
+        else:
+            assert len(args) == 1 and np.array_equal(args[0], p.E)
     assert probes == []
     # the test sees such an SVD
     p = pencils[0][1]

@@ -11,7 +11,6 @@ from adae.io import (
     atomic_write_text,
     write_csv_table,
     pencil_from_dict,
-    pencil_to_dict,
     read_pencil_json,
     read_trajectory_csv,
     write_pencil_json,
@@ -34,11 +33,16 @@ def test_pencil_json_roundtrip_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_pencil_dict_rectangular():
-    p = MatrixPencil(np.zeros((3, 2)), np.ones((3, 2)))
-    q = pencil_from_dict(pencil_to_dict(p))
-    assert q.shape == (3, 2)
-    assert np.array_equal(q.A.real, p.A.real)
+def test_pencil_dict_rectangular(tmp_path):
+    # a tall pencil is refused on load, from a dict or from JSON
+    d = {"rows": 3, "cols": 2, "E_re": [0.0] * 6, "E_im": [0.0] * 6,
+         "A_re": [1.0] * 6, "A_im": [0.0] * 6}
+    with pytest.raises(ValueError, match="square"):
+        pencil_from_dict(d)
+    f = tmp_path / "tall.json"
+    f.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="square"):
+        read_pencil_json(f)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from adae.models import (
     weierstrass_pencil,
 )
 from adae.chains import y_impli_check
-from adae.pencil import resolvent_at
+from adae.pencil import MatrixPencil, resolvent_at
 
 
 def test_heat_wave_structure():
@@ -52,9 +52,11 @@ def test_rlc_needs_one_cell():
 def test_rlc_shapes_and_profiles():
     m = 6
     model = rlc_pencil(RLCConfig(m=m, R=np.full(m, 0.5)))
-    assert model.boundary.shape == (2 * m + 2, 2 * m)
     assert model.companion.shape == (2 * m + 2, 2 * m + 2)
-    assert not model.boundary.is_square
+    # without the two extra unknowns the boundary rows make a tall pencil,
+    # which no lambda makes bijective: it is refused
+    with pytest.raises(ValueError, match="square"):
+        MatrixPencil(model.companion.E[:, :2 * m], model.companion.A[:, :2 * m])
     r0, r1 = model.boundary_forcing_indices()
     assert (r0, r1) == (2 * m, 2 * m + 1)
     assert np.allclose(model.companion.E[r0], 0.0)

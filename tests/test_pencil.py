@@ -26,8 +26,8 @@ def test_pencil_shape_validation():
         MatrixPencil(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         MatrixPencil(np.zeros((2, 3)), np.zeros((2, 3)))  # wide
-    p = MatrixPencil(np.zeros((3, 2)), np.ones((3, 2)))  # tall is fine
-    assert not p.is_square and p.regular is None
+    with pytest.raises(ValueError, match="square"):
+        MatrixPencil(np.zeros((3, 2)), np.ones((3, 2)))  # tall
 
 
 def test_regularity_flag():
