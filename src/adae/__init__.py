@@ -32,12 +32,7 @@ from .exceptions import (
     SingularPencil,
     StepSingular,
 )
-from .forcing import (
-    CallableForcing,
-    ForcingSignal,
-    PolynomialForcing,
-    SampledForcing,
-)
+from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
 from .growth import (
     GrowthCertificate,
     LambdaGrid,

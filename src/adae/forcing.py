@@ -1,12 +1,11 @@
 """Forcing signals for the DAE solver.
 
-Three kinds: piecewise polynomial (exact derivatives, the preferred path),
+Two kinds: piecewise polynomial (exact derivatives, the preferred path) and
 sampled on a uniform grid (derivative orders 0-2 of the quartic through the
 5 samples nearest t, the window shifted inward at the edges; no
-nearest-sample rule), and callable (user-supplied derivative functions).
-Coefficients, samples and callable values go through ``numerics.as_matrix``:
-float64 when they have no imaginary part, complex128 otherwise, and NaN/Inf
-refused.
+nearest-sample rule).  Coefficients and samples go through
+``numerics.as_matrix``: float64 when they have no imaginary part, complex128
+otherwise, and NaN/Inf refused.
 """
 
 import math
@@ -20,7 +19,6 @@ __all__ = [
     "ForcingSignal",
     "PolynomialForcing",
     "SampledForcing",
-    "CallableForcing",
 ]
 
 # 24 l_a(s) for the Lagrange basis on the nodes s = 0..4: row a holds the
@@ -32,7 +30,6 @@ _LAGRANGE24 = np.rint(
 class ForcingSignal:
     """Common interface: sample(ts, order) and max_derivative_order."""
 
-    kind = "abstract"
     dim = 0
     max_derivative_order = 0
 
@@ -40,10 +37,6 @@ class ForcingSignal:
         """The order-th derivative at every time of ts, as (dim, len(ts)),
         float64 when the signal's data are real and complex128 otherwise."""
         raise NotImplementedError
-
-    def require_order(self, order):
-        if order > self.max_derivative_order:
-            raise InsufficientSmoothness(order, self.max_derivative_order)
 
 
 class PolynomialForcing(ForcingSignal):
@@ -54,7 +47,6 @@ class PolynomialForcing(ForcingSignal):
     f(t) = sum_j coeffs[i][:, j] s^j.
     """
 
-    kind = "piecewise-polynomial"
     max_derivative_order = 10 ** 6  # effectively unlimited
 
     def __init__(self, breakpoints, coeffs):
@@ -112,7 +104,6 @@ class SampledForcing(ForcingSignal):
     are refused, so solves of index >= 3 are refused upstream.
     """
 
-    kind = "sampled"
     max_derivative_order = 2
 
     def __init__(self, times, values):
@@ -125,15 +116,16 @@ class SampledForcing(ForcingSignal):
         if self.times.size < 6:
             raise ValueError("need at least 6 samples")
         h = np.diff(self.times)
-        if not np.allclose(h, h[0], rtol=1e-9, atol=0):
-            raise ValueError("sample grid must be uniform")
+        if not np.allclose(h, h[0], rtol=1e-9, atol=0) or h[0] <= 0:
+            raise ValueError("sample grid must be uniform and increasing")
         self.h = float(h[0])
         self.dim = self.values.shape[0]
 
     def sample(self, ts, order=0):
         """Derivatives of the quartic through the 5 nearest samples, with
         weights evaluated per time by Horner's rule in s = (t - t_lo) / h."""
-        self.require_order(order)
+        if order > self.max_derivative_order:
+            raise InsufficientSmoothness(order, self.max_derivative_order)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         lo = np.clip(np.rint((ts - self.times[0]) / self.h).astype(int) - 2,
                      0, self.times.size - 5)
@@ -147,29 +139,3 @@ class SampledForcing(ForcingSignal):
             out += w * self.values[:, lo + a]
         out /= 24 * self.h ** order
         return out
-
-
-class CallableForcing(ForcingSignal):
-    """f given as a function of t, optionally with derivative functions."""
-
-    kind = "callable"
-
-    def __init__(self, dim, fn, derivatives=()):
-        self.dim = dim
-        self.fn = fn
-        self.derivs = list(derivatives)
-        self.max_derivative_order = len(self.derivs)
-
-    def sample(self, ts, order=0):
-        self.require_order(order)
-        fn = self.derivs[order - 1] if order else self.fn
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        out = np.empty((self.dim, ts.size), dtype=complex)
-        for j, t in enumerate(ts):
-            v = np.asarray(fn(t), dtype=complex).reshape(-1)
-            if v.size != self.dim:
-                raise ValueError(f"callable forcing (order {order}) returned "
-                                 f"{v.size} values at t = {t:g}, expected "
-                                 f"dim = {self.dim}")
-            out[:, j] = v
-        return as_matrix(out)

@@ -11,9 +11,8 @@ ODE x' = B x + B h with B the inverse of the compressed R_r(mu).  Both paths
 run that one recursion.  For piecewise-polynomial forcing it acts on
 coefficient matrices, d/ds being C -> C @ D, so everything stays inside the
 class "e^(-mu s) times vector polynomial" and the only floating-point error
-is the matrix exponential itself.  Sampled and callable forcing feed it
-the derivatives the signal supplies (a sampled signal's local quartic, a
-callable's own derivative functions), with per-step quadrature on V_k.
+is the matrix exponential itself.  Sampled forcing feeds it the
+derivatives of the signal's local quartic, with per-step quadrature on V_k.
 Both paths read (A - mu E)^-1 from the Wong chain the staircase was derived
 from, and R_r(mu) in staircase coordinates, N, B and K from the staircase,
 so a solve factors A - mu E once and inverts the compressed R_r(mu) once.
@@ -35,7 +34,7 @@ from .exceptions import (
     InsufficientSmoothness,
     StepSingular,
 )
-from .forcing import ForcingSignal, PolynomialForcing, SampledForcing
+from .forcing import ForcingSignal, PolynomialForcing
 from .numerics import as_matrix, expm, svdvals
 from .pencil import MatrixPencil
 
@@ -88,15 +87,12 @@ def _check_grid(p, t_grid):
 def _check_forcing(f, t, n):
     """f must have the pencil's n components.  Polynomial breakpoints and
     sampled times must span [0, t_f], and interior breakpoints must sit on
-    the grid so steps never straddle a piece.  Callable forcing has no span
-    to check."""
+    the grid so steps never straddle a piece."""
     if f.dim != n:
         raise ValueError(f"forcing has {f.dim} components, "
                          f"the pencil has n = {n}")
     tol = 1e-9 * max(t[-1], 1.0)
     poly = isinstance(f, PolynomialForcing)
-    if not poly and not isinstance(f, SampledForcing):
-        return
     ends = f.breakpoints if poly else f.times
     if ends[0] > tol or ends[-1] < t[-1] - tol:
         raise ValueError(f"forcing covers [{ends[0]:g}, {ends[-1]:g}], "
@@ -195,19 +191,19 @@ def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
 
 
 def _solve_fd(p, stair, x0, f, t, h, mu):
-    """Sampled/callable path: signal derivatives, per-step quadrature on V_k.
+    """Sampled path: signal derivatives, per-step quadrature on V_k.
 
     The grid is processed in blocks of _BLOCK times, each evaluated with
     array products; only the V_k recurrence x_j = Phi x_{j-1} + c_j steps
-    point by point.  A callable's samples are typed block by block, so the
-    trajectory turns complex at the first block whose forcing is.
+    point by point.
     """
     U, nV, k = stair.unitary, stair.dim_V, stair.k
     UhG = U.conj().T @ stair.chain.G
     Rt, N, B = stair.R_mu, stair.N, stair.generator.S_inv
     top = k if nV else k - 1
 
-    xt = np.zeros((p.n, t.size), dtype=np.result_type(U, UhG, B, x0, mu))
+    dtype = np.result_type(U, UhG, B, x0, mu, f.values)
+    xt = np.zeros((p.n, t.size), dtype=dtype)
     if nV:
         nodes, weights = np.polynomial.legendre.leggauss(4)
         taus = 0.5 * h * (nodes + 1.0)
@@ -219,7 +215,6 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         tb = t[b0:b0 + _BLOCK]
         if k:
             _, xW = _fd_derivatives(UhG, N, nV, f, mu, tb, top)
-            xt = xt.astype(np.result_type(xt, xW[0]), copy=False)
             xt[nV:, b0:b0 + tb.size] = xW[0]
         if not nV:
             continue
@@ -237,7 +232,6 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
             if k:
                 h_sig = h_sig - Rt[:nV, nV:] @ xW[1]
             inc = inc + ws[q] * (prop[q] @ (B @ h_sig))
-        xt = xt.astype(np.result_type(xt, inc), copy=False)
         for i in range(starts.size):
             xV = Phi @ xV + inc[:, i]
             xt[:nV, b0 + i + 1] = xV

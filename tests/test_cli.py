@@ -398,6 +398,9 @@ def _csv_rows(header, row):
      "forcing has 2 components, the pencil has n = 3"),
     ("--forcing", [{"rows": 2, "cols": 1, "re": [1.0, 0.0]}],
      "forcing has 2 components, the pencil has n = 3"),
+    # a t column of equal times: every sample would read NaN
+    ("--forcing-csv", _csv_rows("t, f1, f2, f3", lambda ti: "0.0, 1, 0, 0"),
+     "sample grid must be uniform and increasing"),
 ])
 def test_solve_bad_forcing_shape_exits_one(tmp_path, capsys, flag, rows,
                                            message):

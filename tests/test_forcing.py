@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from adae.exceptions import InsufficientSmoothness
-from adae.forcing import (
-    CallableForcing,
-    PolynomialForcing,
-    SampledForcing,
-)
+from adae.forcing import PolynomialForcing, SampledForcing
 
 
 def test_polynomial_value_and_derivative():
@@ -68,6 +64,13 @@ def test_sampled_validation():
         SampledForcing([0.0, 1.0, 2.0, 3.5, 4.0], np.zeros((1, 5)))
     with pytest.raises(ValueError):
         SampledForcing(np.linspace(0, 1, 6), np.zeros((1, 5)))
+    # 7 samples, so the size check passes: a non-uniform grid has no one
+    # spacing h, equal times would divide by h = 0, a decreasing grid has no
+    # span
+    for times in ([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0], np.zeros(7),
+                  np.linspace(1, 0, 7)):
+        with pytest.raises(ValueError, match="must be uniform and increasing"):
+            SampledForcing(times, np.ones((1, 7)))
 
 
 def test_sampled_needs_six_samples():
@@ -83,30 +86,6 @@ def test_sampled_needs_six_samples():
         assert abs(f.sample([ti], 1)[0, 0] - 2 * ti) < 1e-12
 
 
-def test_callable_forcing():
-    f = CallableForcing(1, lambda t: [np.exp(t)],
-                        derivatives=[lambda t: [np.exp(t)]])
-    assert abs(f.sample([0.5])[0, 0] - np.exp(0.5)) < 1e-15
-    assert abs(f.sample([0.5], 1)[0, 0] - np.exp(0.5)) < 1e-15
-    with pytest.raises(InsufficientSmoothness):
-        f.sample([0.5], 2)
-
-
-@pytest.mark.parametrize("got", [[1.0], [1.0, 2.0, 3.0]],
-                         ids=["too-few", "too-many"])
-@pytest.mark.parametrize("order", [0, 1])
-def test_callable_forcing_checks_value_length(order, got):
-    # a value of the wrong length is refused, naming the forcing, the order,
-    # the time and both lengths, and is never broadcast into dim rows
-    good = lambda t: [t, 2.0 * t]  # noqa: E731
-    bad = lambda t: got  # noqa: E731
-    f = CallableForcing(2, good if order else bad, [bad] if order else [])
-    msg = (rf"^callable forcing \(order {order}\) returned {len(got)} "
-           rf"values at t = 0\.5, expected dim = 2$")
-    with pytest.raises(ValueError, match=msg):
-        f.sample([0.5, 1.0], order)
-
-
 def test_samples_take_the_dtype_of_their_data():
     # real data give float64 samples, also when typed complex; data with an
     # imaginary part give complex128
@@ -115,8 +94,6 @@ def test_samples_take_the_dtype_of_their_data():
         PolynomialForcing.from_coeffs(np.ones((2, 2), dtype=complex), 1.0),
         PolynomialForcing.constant([1.0, -2.0], 1.0),
         SampledForcing(t, np.vstack([t, t * t]).astype(complex)),
-        CallableForcing(2, lambda s: [np.sin(s), 1.0 + 0j],
-                        derivatives=[lambda s: [np.cos(s), 0.0]]),
     ]
     for f in real:
         assert f.sample(t).dtype == np.float64
@@ -124,15 +101,10 @@ def test_samples_take_the_dtype_of_their_data():
     cplx = [
         PolynomialForcing.from_coeffs([[1.0, 1j]], 1.0),
         SampledForcing(t, np.exp(1j * t)),
-        CallableForcing(1, lambda s: [np.exp(1j * s)],
-                        derivatives=[lambda s: [1j * np.exp(1j * s)]]),
     ]
     for f in cplx:
         assert f.sample(t).dtype == np.complex128
         assert f.sample(t, 1).dtype == np.complex128
-    # the callable's samples are typed as a whole: exp(i t) is real at 0
-    assert cplx[2].sample([0.0, 0.5]).dtype == np.complex128
-    assert cplx[2].sample([0.0]).dtype == np.float64
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -144,9 +116,6 @@ def test_forcing_refuses_non_finite_data(bad):
         SampledForcing(t, vals)
     with pytest.raises(ValueError, match="NaN/Inf"):
         PolynomialForcing.from_coeffs([[1.0, bad]], 1.0)
-    f = CallableForcing(1, lambda s: [bad if s > 0.5 else s])
-    with pytest.raises(ValueError, match="NaN/Inf"):
-        f.sample(t)
 
 
 def test_zero_forcing():
@@ -220,13 +189,3 @@ def test_polynomial_sample_matches_per_point_bitwise():
         assert got.shape == (2, ts.size)
         want = np.column_stack([_polynomial_reference(f, s, order) for s in ts])
         assert got.tobytes() == want.tobytes()
-
-
-def test_callable_sample_loops_over_derivative():
-    ts = np.array([-0.5, 0.25, 1.0, 1.75, 2.5])
-    g = CallableForcing(2, lambda t: [np.sin(t), t],
-                        derivatives=[lambda t: [np.cos(t), 1.0]])
-    assert np.array_equal(g.sample(ts, 1), [np.cos(ts), np.ones(5)])
-    assert g.sample([], 0).shape == (2, 0)
-    with pytest.raises(InsufficientSmoothness):
-        g.sample(ts, 2)

@@ -11,11 +11,7 @@ from adae import chains, solver
 from adae.chains import build_staircase
 from adae.cli import main
 from adae.exceptions import GridTooCoarse, InsufficientSmoothness
-from adae.forcing import (
-    CallableForcing,
-    PolynomialForcing,
-    SampledForcing,
-)
+from adae.forcing import PolynomialForcing, SampledForcing
 from adae.growth import _pick_mu
 from adae.models import (
     HeatWaveConfig,
@@ -41,15 +37,19 @@ def ramp_forcing(t_f):
         np.array([[0.0, 0.0], [0.0, 1.0]]), t_f)
 
 
+def _on_grid(poly, t):
+    """poly sampled on the solve grid t, which takes the FD path; the
+    quartic window reproduces any polynomial of degree <= 4."""
+    return SampledForcing(t, poly.sample(t))
+
+
 def test_decoupled_ramp_diagonal(diag_pencil):
     # (A - mu E)^-1 f = (-f1, f2) = (0, t): the V part of the forcing
     # vanishes and the W part is (0, t) with derivative (0, 1), so x2 = -t
     # and x1 = x1(0) e^-t, on the exact and the finite-difference path
     t = np.linspace(0.0, 2.0, 101)
-    ramp = CallableForcing(2, lambda s: [0.0, s],
-                           derivatives=[lambda s: [0.0, 1.0]])
     for f, method in ((ramp_forcing(2.0), "staircase-exact"),
-                      (ramp, "staircase-fd")):
+                      (_on_grid(ramp_forcing(2.0), t), "staircase-fd")):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             rep = solve_decoupled(diag_pencil, [3.0, -4.0], f, t, mu=0.0)
@@ -88,13 +88,12 @@ def test_homogeneous_bad_inputs():
         solve_homogeneous(p, [1.0, 0.0], [0.0, -1.0])
 
 
-@pytest.mark.parametrize("kind", ["polynomial", "sampled", "callable"])
+@pytest.mark.parametrize("kind", ["polynomial", "sampled"])
 def test_forcing_must_have_n_components(kind):
     p = MatrixPencil(np.eye(3), -np.eye(3))
     t = np.linspace(0.0, 1.0, 11)
     f = {"polynomial": PolynomialForcing.constant([1.0, 2.0], 1.0),
-         "sampled": SampledForcing(t, np.ones((2, 11))),
-         "callable": CallableForcing(2, lambda s: [1.0, 2.0])}[kind]
+         "sampled": SampledForcing(t, np.ones((2, 11)))}[kind]
     with pytest.raises(ValueError, match="forcing has 2 components, "
                                          "the pencil has n = 3"):
         solve_decoupled(p, None, f, t)
@@ -233,12 +232,6 @@ def test_euler_matches_per_step_solves(name, dtype):
     assert _rel_dev(rep.trajectory, want) < bound
 
 
-def _as_callable(poly):
-    return CallableForcing(poly.dim, lambda s: poly.sample([s])[:, 0],
-                           derivatives=[lambda s, o=o: poly.sample([s], o)[:, 0]
-                                        for o in (1, 2, 3)])
-
-
 @pytest.mark.parametrize("path", ["staircase-exact", "staircase-fd"])
 def test_real_pencil_solve_is_linear_across_dtypes(path):
     # real pencil, real x0: real forcing is solved in float64, complex
@@ -252,7 +245,7 @@ def test_real_pencil_solve_is_linear_across_dtypes(path):
 
     def solve(x, c):
         poly = PolynomialForcing.from_coeffs(c, 1.0)
-        f = poly if path == "staircase-exact" else _as_callable(poly)
+        f = poly if path == "staircase-exact" else _on_grid(poly, t)
         rep = solve_decoupled(p, x, f, t)
         assert rep.method == path
         return rep.trajectory
@@ -308,22 +301,15 @@ def _rel_dev(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-def _smooth_forcing(kind, n, tf, seed):
-    """Sampled or callable forcing a sin(w t) + b cos(w t) on C^n."""
+def _smooth_forcing(n, tf, seed):
+    """Sampled forcing a sin(w t) + b cos(w t) on C^n."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = rng.standard_normal(n)
     w = rng.uniform(1.0, 3.0)
-
-    def deriv(order):
-        # d^o/dt^o of sin and cos at w t: w^o sin/cos(w t + o pi/2)
-        return lambda t: w ** order * (a * np.sin(w * t + order * np.pi / 2)
-                                       + b * np.cos(w * t + order * np.pi / 2))
-
-    if kind == "callable":
-        return CallableForcing(n, deriv(0), derivatives=[deriv(1), deriv(2)])
     ts = np.linspace(0.0, tf, 733)
-    return SampledForcing(ts, np.column_stack([deriv(0)(s) for s in ts]))
+    return SampledForcing(ts, np.column_stack(
+        [a * np.sin(w * s) + b * np.cos(w * s) for s in ts]))
 
 
 def _along_Wk(stair):
@@ -416,14 +402,13 @@ def _setup(name, n_points, tf=1.5):
     return p, mu, stair, t, float(t[1] - t[0]), x0
 
 
-@pytest.mark.parametrize("kind", ["sampled", "callable"])
-@pytest.mark.parametrize("name", sorted(PENCILS))
-def test_fd_blocks_match_per_point(name, kind):
-    # each pencil meets two of the grid lengths, each length several pencils
-    offset = sorted(PENCILS).index(name) + (kind == "callable")
-    n_points = GRID_POINTS[offset % len(GRID_POINTS)]
+@pytest.mark.parametrize("name", sorted(PENCILS),
+                         ids=[f"{name}-sampled" for name in sorted(PENCILS)])
+def test_fd_blocks_match_per_point(name):
+    # each grid length meets two pencils
+    n_points = GRID_POINTS[sorted(PENCILS).index(name) % len(GRID_POINTS)]
     p, mu, stair, t, h, x0 = _setup(name, n_points)
-    f = _smooth_forcing(kind, p.n, t[-1], 7)
+    f = _smooth_forcing(p.n, t[-1], 7)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         got = solver._solve_fd(p, stair, x0, f, t, h, mu)
@@ -516,12 +501,12 @@ def test_exact_blocks_match_per_point(name, n_points):
 @pytest.mark.parametrize("n_points", GRID_POINTS[1:])
 @pytest.mark.parametrize("name", sorted(PENCILS))
 def test_fd_path_matches_exact_path(name, n_points):
-    # the same polynomial as a callable with exact derivatives: the two paths
-    # differ only in the V_k quadrature
+    # the same polynomial sampled on the grid, whose quartics reproduce it:
+    # the two paths differ only in the V_k quadrature
     p, mu, stair, t, h, x0 = _setup(name, n_points)
     poly = PolynomialForcing.from_coeffs(
         np.random.default_rng(5).standard_normal((p.n, 3)), t[-1])
-    f = _as_callable(poly)
+    f = _on_grid(poly, t)
     exact = solve_decoupled(p, x0, poly, t, mu=mu)
     fd = solve_decoupled(p, x0, f, t, mu=mu)
     assert (exact.method, fd.method) == ("staircase-exact", "staircase-fd")
@@ -597,14 +582,6 @@ def _eigen_expansion(p, x0, t):
     return V @ (c[:, None] * np.exp(np.outer(a[fin] / b[fin], t)))
 
 
-def _constant_callable(n, value=0.0):
-    """The constant forcing `value` as a callable with exact derivatives,
-    which takes the FD path."""
-    const = np.broadcast_to(value, (n,)).astype(float)
-    return CallableForcing(n, lambda s: const,
-                           derivatives=[lambda s: np.zeros(n)] * 3)
-
-
 @pytest.mark.parametrize("name", sorted(EIGEN_PENCILS))
 def test_solutions_match_the_eigen_expansion(name):
     # both solve paths and T_R(t) x0 against the eigenvector expansion; the
@@ -617,7 +594,8 @@ def test_solutions_match_the_eigen_expansion(name):
           else rng.standard_normal(p.n))
     want = _eigen_expansion(p, x0, t)
     exact = solve_homogeneous(p, x0, t)
-    fd = solve_decoupled(p, x0, _constant_callable(p.n), t)
+    zero = _on_grid(PolynomialForcing.zero(p.n, 1.0), t)
+    fd = solve_decoupled(p, x0, zero, t)
     assert (exact.method, fd.method) == ("staircase-exact", "staircase-fd")
     tr = degenerate_semigroup(p, exact.mu_used, side="right")
     semigroup = np.column_stack([evaluate(tr, ti) @ x0 for ti in t])
@@ -628,7 +606,7 @@ def test_solutions_match_the_eigen_expansion(name):
     z = Wk.basis @ rng.standard_normal(Wk.dim)
     z *= 5.0 * np.linalg.norm(x0) / np.linalg.norm(z)
     for path in (lambda y: solve_homogeneous(p, y, t),
-                 lambda y: solve_decoupled(p, y, _constant_callable(p.n), t)):
+                 lambda y: solve_decoupled(p, y, zero, t)):
         assert _rel_dev(path(x0 + z).trajectory, want) <= 1e-12
 
 
@@ -640,8 +618,8 @@ def test_forced_start_matches_the_closed_form():
     t = np.linspace(0.0, 2.0, 41)
     x1 = 2.0 * (1.0 - np.exp(-t / 2))
     want = np.vstack([x1, x1 / 2 + 1.0])
-    for f in (PolynomialForcing.constant([0.0, 1.0], 2.0),
-              _constant_callable(2, [0.0, 1.0])):
+    const = PolynomialForcing.constant([0.0, 1.0], 2.0)
+    for f in (const, _on_grid(const, t)):
         rep = solve_decoupled(p, np.zeros(2), f, t)
         assert _rel_dev(rep.trajectory, want) <= 1e-12
         assert np.allclose(rep.consistent_x0, [0.0, 1.0], rtol=0, atol=1e-14)
@@ -655,7 +633,7 @@ def test_fd_memory_flat_in_steps():
 
     def peak(n_points):
         t = np.linspace(0.0, 1.0, n_points)
-        f = _smooth_forcing("sampled", p.n, 1.0, 2)
+        f = _smooth_forcing(p.n, 1.0, 2)
         x0 = np.ones(p.n, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -695,7 +673,7 @@ def test_solve_takes_one_compressed_inverse(tmp_path, monkeypatch):
     monkeypatch.setattr(chains.StaircaseForm, "transform", counted_transform)
     poly = PolynomialForcing.from_coeffs(
         np.random.default_rng(5).standard_normal((p.n, 3)), t[-1])
-    for f in (poly, _as_callable(poly)):
+    for f in (poly, _on_grid(poly, t)):
         counts.clear()
         solve_decoupled(p, np.ones(p.n), f, t)
         assert counts == {"generator": 1, "R_mu": 1}

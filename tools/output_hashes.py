@@ -6,11 +6,16 @@ ROOT is a source checkout (default: the one holding this script); the
 program is imported from ROOT/src and the workloads from ROOT/perfbench.
 For each benchmark workload at seed 1 the script writes the inputs with
 ``workloads.build`` in a temporary directory, runs the warm-up, the first
-round and the probe commands through ``adae.cli.main``, and then runs
+round and the probe commands through ``adae.cli.main``.  Then it runs
 ``adae demo heat-wave``, ``adae demo rlc`` and ``adae demo rlc --lossless``
-at their defaults.  It prints one line per command: its output directory
-(under the workload's name), its kind, its exit code (or the class of the
-exception that escaped), and the sha256 of each .json/.csv file there.
+at their defaults, ``adae analyze`` on heat-wave at m = 10/25/50/100 and on
+RLC at m = 5/12/25/50, ``adae analyze``, ``adae demo weierstrass`` and
+``adae solve --cross-check`` on Weierstrass pencils of index 1-4 at seeds
+0-4, and one ``adae solve --forcing-csv`` on RLC m = 8 whose 51 samples are
+not the 100-step solve grid.  It prints one line per command: its output
+directory (under the workload's name, or ``demo``/``extra``), its kind, its
+exit code (or the class of the exception that escaped), and the sha256 of
+each .json/.csv file there.
 
 Two checkouts produce the same outputs when their printed lines are
 equal, for example a worktree of the parent commit against the change:
@@ -28,10 +33,32 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 
 DEMOS = (["heat-wave"], ["rlc"], ["rlc", "--lossless"])
+WEIERSTRASS = (["analyze", "--model", "weierstrass"], ["demo", "weierstrass"],
+               ["solve", "--model", "weierstrass", "--cross-check"])
+EXTRA = ([["analyze", "--model", "heat-wave", "--m", str(m)]
+          for m in (10, 25, 50, 100)]
+         + [["analyze", "--model", "rlc", "--m", str(m)]
+            for m in (5, 12, 25, 50)]
+         + [[*cmd, "--index", str(k), "--seed", str(seed)]
+            for k in range(1, 5) for seed in range(5) for cmd in WEIERSTRASS])
+
+
+def dirname(argv):
+    return "-".join(a.lstrip("-") for a in argv)
+
+
+def write_forcing_csv(path):
+    """51 samples on [0, 1] of the 18 components sin(i t), i = 1..18."""
+    with open(path, "w") as fh:
+        fh.write("t" + "".join(f", f{i}" for i in range(1, 19)) + "\n")
+        for t in (j / 50 for j in range(51)):
+            fh.write(repr(t) + "".join(f", {math.sin(i * t)!r}"
+                                       for i in range(1, 19)) + "\n")
 
 
 def run(main, kind, argv, out, tmp):
@@ -62,8 +89,18 @@ def main(root):
             for cmd in [warm, *rounds[0], *probe]:
                 run(adae_main, cmd.kind, cmd.argv, cmd.out, tmp)
         for demo in DEMOS:
-            out = os.path.join(tmp, "demo", "-".join(a.lstrip("-") for a in demo))
+            out = os.path.join(tmp, "demo", dirname(demo))
             run(adae_main, "demo", ["demo", *demo, "--out", out], out, tmp)
+        for argv in EXTRA:
+            out = os.path.join(tmp, "extra", dirname(argv))
+            run(adae_main, argv[0], [*argv, "--out", out], out, tmp)
+        # the sampled path between samples: RLC m = 8 has 18 unknowns, and
+        # its 100-step grid on [0, 1] is not the forcing's 51-sample grid
+        csv = os.path.join(tmp, "forcing.csv")
+        write_forcing_csv(csv)
+        out = os.path.join(tmp, "extra", "solve-rlc-8-forcing-csv-51")
+        run(adae_main, "solve", ["solve", "--model", "rlc", "--m", "8",
+                                 "--forcing-csv", csv, "--out", out], out, tmp)
 
 
 if __name__ == "__main__":
