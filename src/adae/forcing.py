@@ -3,7 +3,8 @@
 Two kinds: piecewise polynomial (exact derivatives, the preferred path) and
 sampled on a uniform grid (derivative orders 0-2 of the quartic through the
 5 samples nearest t, the window shifted inward at the edges; no
-nearest-sample rule).  Coefficients and samples go through
+nearest-sample rule), evaluated only on the rows that hold a nonzero sample:
+few for a port input f = B u(t).  Coefficients and samples go through
 ``numerics.as_matrix``: float64 when they have no imaginary part, complex128
 otherwise, and NaN/Inf refused.
 """
@@ -101,7 +102,9 @@ class SampledForcing(ForcingSignal):
     samples nearest t: the window is centred on the nearest sample and
     shifted inward at the two edges, so one rule serves every order and
     every t, with error O(h^(5 - order)) for smooth data.  Orders above 2
-    are refused, so solves of index >= 3 are refused upstream.
+    are refused, so solves of index >= 3 are refused upstream.  The samples
+    are fixed once constructed: the active rows, those holding a nonzero
+    sample, are found then, and every other row samples as +0.0.
     """
 
     max_derivative_order = 2
@@ -120,22 +123,36 @@ class SampledForcing(ForcingSignal):
             raise ValueError("sample grid must be uniform and increasing")
         self.h = float(h[0])
         self.dim = self.values.shape[0]
+        rows = np.flatnonzero(np.any(self.values, axis=1))
+        self._rows = None if rows.size == self.dim else rows  # None: all
 
     def sample(self, ts, order=0):
         """Derivatives of the quartic through the 5 nearest samples, with
         weights evaluated per time by Horner's rule in s = (t - t_lo) / h."""
         if order > self.max_derivative_order:
             raise InsufficientSmoothness(order, self.max_derivative_order)
+        return next(self._samples(ts, [order]))
+
+    def _samples(self, ts, orders):
+        """sample(ts, o) for each o in orders, from one window and one read
+        of the 5 taps on the active rows."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         lo = np.clip(np.rint((ts - self.times[0]) / self.h).astype(int) - 2,
                      0, self.times.size - 5)
         s = (ts - self.times[lo]) / self.h
-        out = np.zeros((self.dim, ts.size), dtype=self.values.dtype)
-        for a, c in enumerate(_LAGRANGE24[:, order:]):
-            w = np.zeros(ts.size)
-            for j in range(4 - order, -1, -1):
+        take = slice(None) if self._rows is None else self._rows[:, None]
+        taps = [self.values[take, lo + a] for a in range(5)]
+        for o in orders:  # weights: the o-th derivatives of the 24 l_a
+            c = _LAGRANGE24[:, o:] * [math.perm(j, o) for j in range(o, 5)]
+            w = np.zeros((5, ts.size))
+            for j in range(4 - o, -1, -1):
                 w *= s
-                w += c[j] * math.perm(j + order, order)
-            out += w * self.values[:, lo + a]
-        out /= 24 * self.h ** order
-        return out
+                w += c[:, j, None]
+            out = np.zeros(taps[0].shape, dtype=self.values.dtype)
+            for a in range(5):
+                out += w[a] * taps[a]
+            out /= 24 * self.h ** o
+            if self._rows is not None:  # the inactive rows stay +0.0
+                full = np.zeros((self.dim, ts.size), dtype=out.dtype)
+                full[self._rows], out = out, full
+            yield out

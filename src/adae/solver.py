@@ -12,7 +12,8 @@ run that one recursion.  For piecewise-polynomial forcing it acts on
 coefficient matrices, d/ds being C -> C @ D, so everything stays inside the
 class "e^(-mu s) times vector polynomial" and the only floating-point error
 is the matrix exponential itself.  Sampled forcing feeds it the
-derivatives of the signal's local quartic, with per-step quadrature on V_k.
+derivatives of the signal's local quartic, taken on its active rows only,
+with per-step quadrature on V_k; orders >= 1 are formed on W only.
 Both paths read (A - mu E)^-1 from the Wong chain the staircase was derived
 from, and R_r(mu) in staircase coordinates, N, B and K from the staircase,
 so a solve factors A - mu E once and inverts the compressed R_r(mu) once.
@@ -180,14 +181,16 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
 
 
 def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
-    """Derivatives of orders 0..top at the times ts, one column per time.
-
-    Returns (g, xW): g[o] is the o-th derivative of the staircase forcing
-    g(t) = e^(-mu t) U^* G f(t), xW[o] that of the W coordinates.
-    """
-    gf = [UhG @ f.sample(ts, j) for j in range(top + 1)]
-    g = [_shifted_derivative(gf, mu, ts, o) for o in range(top + 1)]
-    return g, _w_coordinates(N, [go[nV:] for go in g])
+    """(gV, xW) at the times ts, one column per time: gV the V_k part of the
+    staircase forcing g(t) = e^(-mu t) U^* G f(t), xW[o] the o-th derivative
+    of the W coordinates, o = 0..top.  Only the W rows are differentiated.
+    U^* G multiplies all n rows of each sample, inactive ones included: a
+    product over the active columns or the W rows alone rounds differently."""
+    gf = [UhG @ fj for fj in f._samples(ts, range(top + 1))]
+    gfW = [gj[nV:] for gj in gf]
+    gW = [_shifted_derivative(gfW, mu, ts, o) for o in range(top + 1)]
+    return (_shifted_derivative([gf[0][:nV]], mu, ts, 0),
+            _w_coordinates(N, gW))
 
 
 def _solve_fd(p, stair, x0, f, t, h, mu):
@@ -227,8 +230,8 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
         starts = tb[:t.size - 1 - b0]
         inc = 0
         for q in range(4):
-            g, xW = _fd_derivatives(UhG, N, nV, f, mu, starts + taus[q], top)
-            h_sig = g[0][:nV]
+            h_sig, xW = _fd_derivatives(UhG, N, nV, f, mu, starts + taus[q],
+                                        top)
             if k:
                 h_sig = h_sig - Rt[:nV, nV:] @ xW[1]
             inc = inc + ws[q] * (prop[q] @ (B @ h_sig))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,49 @@ def test_sampled_sample_matches_per_point_bitwise(order):
     got = f.sample(ts, order)
     for i, s in enumerate(ts):
         assert got[:, i].tobytes() == f.sample([s], order)[:, 0].tobytes()
+
+
+def _lagrange24():
+    """24 l_a(s) for the Lagrange basis on the nodes s = 0..4, in integer
+    arithmetic: row a holds the coefficients of s^0..s^4."""
+    rows = []
+    for a in range(5):
+        others = [b for b in range(5) if b != a]
+        coeffs = np.poly1d(others, r=True).coeffs[::-1]
+        rows.append(coeffs * (24 // math.prod(a - b for b in others)))
+    return np.array(rows, dtype=float)
+
+
+def _sampled_reference(f, t, order):
+    """Per-point derivative of a SampledForcing: the quartic through the 5
+    samples nearest t, its weights by Horner's rule, one tap at a time."""
+    lo = min(max(int(np.rint((t - f.times[0]) / f.h)) - 2, 0),
+             f.times.size - 5)
+    s = (t - f.times[lo]) / f.h
+    out = np.zeros(f.dim, dtype=f.values.dtype)
+    for a, c in enumerate(_lagrange24()):
+        w = 0.0
+        for j in range(4, order - 1, -1):
+            w = w * s + c[j] * math.perm(j, order)
+        out += w * f.values[:, lo + a]
+    return out / (24 * f.h ** order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("zero_rows", [[0, 2], [0, 1, 2]],
+                         ids=["two-zero-rows", "all-zero"])
+def test_sampled_sample_with_zero_rows_matches_per_point_bytewise(
+        order, zero_rows):
+    # only the rows with a nonzero sample are evaluated; the others must
+    # read +0.0, as the per-point formula leaves them
+    f, _, ts = _sampled_quartics(6)
+    f.values[zero_rows] = 0.0
+    f = SampledForcing(f.times, f.values)
+    got = f.sample(ts, order)
+    want = np.column_stack([_sampled_reference(f, s, order) for s in ts])
+    assert got.shape == (3, ts.size)
+    assert got.tobytes() == want.tobytes()
+    assert got[zero_rows].tobytes() == bytes(got[zero_rows].nbytes)
 
 
 def _polynomial_reference(f, t, order):

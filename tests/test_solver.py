@@ -13,6 +13,7 @@ from adae.cli import main
 from adae.exceptions import GridTooCoarse, InsufficientSmoothness
 from adae.forcing import PolynomialForcing, SampledForcing
 from adae.growth import _pick_mu
+from adae.io import read_trajectory_csv
 from adae.models import (
     HeatWaveConfig,
     RLCConfig,
@@ -413,6 +414,68 @@ def test_fd_blocks_match_per_point(name):
         warnings.simplefilter("ignore", UserWarning)
         got = solver._solve_fd(p, stair, x0, f, t, h, mu)
     assert _rel_dev(got, _fd_reference(p, stair, x0, f, t, h, mu)) < 1e-12
+
+
+def _port_forcing(tf, seed):
+    """Sampled forcing of RLC m = 10 through its two boundary rows only, the
+    port input f = B u(t) of the line."""
+    model = rlc_pencil(RLCConfig(m=10))
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, tf, 733)
+    values = np.zeros((model.companion.n, ts.size))
+    for row in model.boundary_forcing_indices():
+        a, w, phi = rng.uniform(0.2, 1.0, 3) * [1.0, 4.0, 6.0]
+        values[row] = a * np.sin(w * ts + phi)
+    return SampledForcing(ts, values)
+
+
+def test_fd_port_forcing_matches_per_point():
+    p, mu, stair, t, h, x0 = _setup("rlc-10", 2 * BLOCK + 91)
+    f = _port_forcing(t[-1], 3)
+    assert f.sample([0.3]).nonzero()[0].size == 2
+    got = solver._solve_fd(p, stair, x0, f, t, h, mu)
+    assert _rel_dev(got, _fd_reference(p, stair, x0, f, t, h, mu)) < 1e-12
+
+
+def test_fd_derivatives_shapes_and_active_rows():
+    # order 0 is read on V_k only and orders >= 1 on W only; the stencil
+    # reads the forcing's two active rows and no other
+    p, mu, stair, t, h, x0 = _setup("rlc-10", 40)
+    f = _port_forcing(t[-1], 3)
+    reads = []
+
+    class Spy(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return np.ndarray.__getitem__(self.view(np.ndarray), key)
+
+    f.values = f.values.view(Spy)
+    nV, k = stair.dim_V, stair.k
+    UhG = stair.unitary.conj().T @ stair.chain.G
+    gV, xW = solver._fd_derivatives(UhG, stair.N, nV, f, mu, t[:7], k)
+    assert k == 2 and 0 < nV < p.n
+    assert gV.shape == (nV, 7)
+    assert [x.shape for x in xW] == [(p.n - nV, 7)] * (k + 1)
+    active = sorted(rlc_pencil(RLCConfig(m=10)).boundary_forcing_indices())
+    assert len(reads) == 5  # each of the 5 taps once, for every order
+    for key in reads:
+        assert np.ravel(key[0]).tolist() == active
+
+
+def test_all_zero_csv_matches_homogeneous(tmp_path):
+    # no active row: the sampled solve is the homogeneous one
+    p = rlc_pencil(RLCConfig(m=10)).companion
+    t = np.linspace(0.0, 1.0, 101)
+    x0 = np.random.default_rng(4).standard_normal(p.n)
+    csv = tmp_path / "zero.csv"
+    csv.write_text("t" + ", f" * p.n + "\n" + "".join(
+        f"{j / 50!r}" + ", 0.0" * p.n + "\n" for j in range(51)))
+    assert main(["solve", "--model", "rlc", "--m", "10", "--forcing-csv",
+                 str(csv), "--x0", repr(x0.tolist()),
+                 "--out", str(tmp_path)]) == 0
+    got_t, got = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert np.array_equal(got_t, t)
+    assert _rel_dev(got, solve_homogeneous(p, x0, t).trajectory) < 1e-11
 
 
 def _exact_reference(p, stair, x0, f, t, h, mu):
