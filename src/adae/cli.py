@@ -248,8 +248,9 @@ def cmd_solve(args):
     }
     if args.cross_check:
         ref = implicit_euler_reference(p, report.consistent_x0, f, t_grid)
-        dev = float(np.max(np.abs(report.trajectory - ref.trajectory)))
-        out["euler_max_deviation"] = dev
+        dev = report.trajectory - ref.trajectory
+        np.abs(dev, out=dev.real)  # |x - x_ref| in dev (its real part if complex)
+        out["euler_max_deviation"] = float(np.max(dev.real))
     write_json(os.path.join(args.out, "solve.json"), out)
     return 0
 

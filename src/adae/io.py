@@ -34,13 +34,25 @@ __all__ = [
 
 
 def atomic_write_text(path, text):
-    """Write via a temp file in the same directory plus rename."""
+    """Write text via a temp file in the same directory plus rename."""
+    _atomic_write(path, [text])
+
+
+def _atomic_write(path, pieces):
+    """Write the strings of pieces, in order, to a temp file in the same
+    directory, then rename it over path.  The file gets the mode a plain
+    open would give it, 0o666 less the umask.  If anything fails, path is
+    left as it was and the temp file is removed."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,15 +99,26 @@ def write_csv_table(path, header, table):
     """Header line of names, then one line per row of a 2-d real array.
 
     Values are written as repr(float(v)) writes them and separated by
-    ", ", exactly as Python's list repr does.  The rows are formatted
-    _CSV_BLOCK values at a time, so the temporaries do not grow with the
-    table.
+    ", ", exactly as Python's list repr does.  The text is formed and
+    written _CSV_BLOCK values at a time, so the temporaries do not grow
+    with the rows; only a table that is not float64 is first copied whole.
     """
     table = np.asarray(table, dtype=float)
-    step = max(1, _CSV_BLOCK // max(table.shape[1], 1))
-    blocks = (_format_rows(table[i:i + step])
-              for i in range(0, len(table), step))
-    atomic_write_text(path, "".join(chain([", ".join(header) + "\n"], blocks)))
+    _write_csv(path, header, table.shape, lambda i, j: table[i:j])
+
+
+def _write_csv(path, header, shape, rows):
+    """Stream a CSV table of the given (rows, columns) shape to path.
+
+    rows(i, j) returns rows i..j-1 as a float64 array.  Each block of
+    _CSV_BLOCK values is formed, formatted and written before the next, so
+    no temporary grows with the number of rows.
+    """
+    n_rows, n_cols = shape
+    step = max(1, _CSV_BLOCK // max(n_cols, 1))
+    blocks = (_format_rows(rows(i, min(i + step, n_rows)))
+              for i in range(0, n_rows, step))
+    _atomic_write(path, chain([", ".join(header) + "\n"], blocks))
 
 
 # -- the CSV kernel -----------------------------------------------------------
@@ -272,7 +295,11 @@ def _format_rows(table):
 
 
 def write_trajectory_csv(path, times, trajectory):
-    """Header "t, re_x1, im_x1, ...", one row per grid point."""
+    """Header "t, re_x1, im_x1, ...", one row per grid point.
+
+    The rows of each block are gathered from the trajectory as they are
+    written, so no table of the whole trajectory is formed.
+    """
     x = np.atleast_2d(np.asarray(trajectory))
     t = np.asarray(times, dtype=float)
     n = x.shape[0]
@@ -282,11 +309,15 @@ def write_trajectory_csv(path, times, trajectory):
     header = ["t"]
     for i in range(1, n + 1):
         header += [f"re_x{i}", f"im_x{i}"]
-    table = np.empty((t.size, 1 + 2 * n))
-    table[:, 0] = t
-    table[:, 1::2] = x.real.T
-    table[:, 2::2] = x.imag.T if np.iscomplexobj(x) else 0.0
-    write_csv_table(path, header, table)
+
+    def rows(i, j):
+        block = np.empty((j - i, 1 + 2 * n))
+        block[:, 0] = t[i:j]
+        block[:, 1::2] = x[:, i:j].real.T
+        block[:, 2::2] = x[:, i:j].imag.T if np.iscomplexobj(x) else 0.0
+        return block
+
+    _write_csv(path, header, (t.size, 1 + 2 * n), rows)
 
 
 def read_trajectory_csv(path):

@@ -177,7 +177,7 @@ def _solve_exact(p, stair, x0, f, t, h, mu):
         if j1 == t.size - 1:
             break
 
-    return np.exp(mu * t)[None, :] * (U @ xt)
+    return _unshift(U @ xt, mu, t)
 
 
 def _fd_derivatives(UhG, N, nV, f, mu, ts, top):
@@ -239,7 +239,7 @@ def _solve_fd(p, stair, x0, f, t, h, mu):
             xV = Phi @ xV + inc[:, i]
             xt[:nV, b0 + i + 1] = xV
 
-    return np.exp(mu * t)[None, :] * (U @ xt)
+    return _unshift(U @ xt, mu, t)
 
 
 def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
@@ -325,11 +325,37 @@ def implicit_euler_reference(p: MatrixPencil, x0, f: ForcingSignal,
     return report
 
 
+def _unshift(y, mu, t):
+    """e^(mu t) y(t) for the columns y of the shifted solution, in y."""
+    return np.multiply(np.exp(mu * t)[None, :], y, out=y)
+
+
 def _cumulative_trapezoid(y, h) -> np.ndarray:
-    """Trapezoidal integrals of the columns of y with step(s) h, 0 first."""
-    out = np.zeros_like(y)
-    out[:, 1:] = np.cumsum(0.5 * h * (y[:, 1:] + y[:, :-1]), axis=1)
+    """Trapezoidal integrals of the columns of y with step(s) h, 0 first,
+    formed in the one array returned."""
+    out = np.empty_like(y)
+    out[:, 0] = 0
+    s = out[:, 1:]
+    np.add(y[:, 1:], y[:, :-1], out=s)
+    np.multiply(0.5 * h, s, out=s)
+    np.cumsum(s, axis=1, out=s)
     return out
+
+
+def _minus(a, b):
+    """a - b, written over a when a's dtype holds the result."""
+    return np.subtract(a, b, out=a if np.result_type(a, b) == a.dtype else None)
+
+
+def _max_column_norm(a) -> float:
+    """float(np.max(np.linalg.norm(a, axis=0))), rounded as numpy rounds it
+    but with one temporary of a's size."""
+    if np.iscomplexobj(a):
+        sq = np.conjugate(a)
+        np.multiply(sq, a, out=sq)
+    else:
+        sq = a * a
+    return float(np.max(np.sqrt(np.add.reduce(sq.real, axis=0))))
 
 
 def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
@@ -337,7 +363,12 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
 
     Classical: 4th-order central differences of E x against A x + f at
     interior points.  Mild: trapezoidal form of the integrated equation.
-    Both normalized by the data magnitudes.
+    Both normalized by the data magnitudes.  Besides the trajectory, at
+    most four arrays of its size are alive at once: the forcing samples,
+    E x, and two work arrays, used in turn by the stencil, A x, the
+    trapezoid sums, their product with A and the column norms.  Each
+    value is formed by the operations, in the order, of the one-expression
+    form shown in the comments, so it rounds as that form does.
     """
     t = report.times
     x = report.trajectory
@@ -345,19 +376,29 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
         raise GridTooCoarse("residuals need at least 5 grid points")
     h = float(t[1] - t[0])
     fv = f.sample(t)
-    Ex = p.E @ x
-    Ax = p.A @ x
-
-    xinf = float(np.max(np.linalg.norm(x, axis=0)))
-    finf = float(np.max(np.linalg.norm(fv, axis=0)))
+    xinf = _max_column_norm(x)
+    finf = _max_column_norm(fv)
     scale = 1.0 + p.norm_E * xinf + p.norm_A * xinf + finf
 
-    # one expression, so no n x N temporary outlives it
-    classical = float(np.max(np.linalg.norm(
-        (-Ex[:, 4:] + 8 * Ex[:, 3:-1] - 8 * Ex[:, 1:-3] + Ex[:, :-4]) / (12 * h)
-        - Ax[:, 2:-2] - fv[:, 2:-2], axis=0))) / scale
+    # (-Ex[:, 4:] + 8 Ex[:, 3:-1] - 8 Ex[:, 1:-3] + Ex[:, :-4]) / (12 h)
+    # - Ax[:, 2:-2] - fv[:, 2:-2], one operation at a time, in r
+    Ex = p.E @ x
+    r = np.negative(Ex[:, 4:])
+    w = np.multiply(8, Ex[:, 3:-1])
+    np.add(r, w, out=r)
+    np.multiply(8, Ex[:, 1:-3], out=w)
+    np.subtract(r, w, out=r)
+    del w
+    np.add(r, Ex[:, :-4], out=r)
+    np.divide(r, 12 * h, out=r)
+    r = _minus(r, (p.A @ x)[:, 2:-2])
+    r = _minus(r, fv[:, 2:-2])
+    classical = _max_column_norm(r) / scale
+    del r
 
-    defect = (Ex - Ex[:, [0]] - p.A @ _cumulative_trapezoid(x, h)
-              - _cumulative_trapezoid(fv, h))
-    mild = float(np.max(np.linalg.norm(defect, axis=0))) / scale
+    # Ex - Ex[:, [0]] - A cumtrap(x) - cumtrap(fv), in Ex
+    np.subtract(Ex, Ex[:, [0]], out=Ex)
+    defect = _minus(Ex, p.A @ _cumulative_trapezoid(x, h))
+    defect = _minus(defect, _cumulative_trapezoid(fv, h))
+    mild = _max_column_norm(defect) / scale
     return classical, mild

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from adae import io
 from adae.io import (
     _CSV_BLOCK,
     atomic_write_text,
@@ -13,6 +17,7 @@ from adae.io import (
     pencil_from_dict,
     read_pencil_json,
     read_trajectory_csv,
+    write_json,
     write_pencil_json,
     write_trajectory_csv,
 )
@@ -117,6 +122,90 @@ def test_atomic_write_no_partial_files(tmp_path):
     assert target.read_text() == "world\n"
     leftovers = [q for q in target.parent.iterdir() if q.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                         ids=["022", "077", "002"])
+def test_atomic_write_mode_matches_plain_open(tmp_path, umask):
+    # every output gets the mode a plain open gives a new file, also when
+    # it replaces a file with another mode
+    old = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x\n")
+        target = tmp_path / "out.json"
+        write_json(target, {"a": 1})
+        modes = [stat.S_IMODE(target.stat().st_mode)]
+        target.chmod(0o600)
+        write_trajectory_csv(target, np.arange(3.0), np.ones((1, 3)))
+        modes.append(stat.S_IMODE(target.stat().st_mode))
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(plain.stat().st_mode)
+    assert want == 0o666 & ~umask
+    assert modes == [want, want]
+
+
+def test_failed_csv_write_leaves_target_unchanged(tmp_path, monkeypatch):
+    target = tmp_path / "traj.csv"
+    target.write_text("old contents\n")
+    before = target.read_bytes()
+    format_rows = io._format_rows
+    calls = []
+
+    def fail_on_second_block(table):
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise RuntimeError("disk went away")
+        return format_rows(table)
+    monkeypatch.setattr(io, "_format_rows", fail_on_second_block)
+    step = _CSV_BLOCK // 5
+    with pytest.raises(RuntimeError, match="disk went away"):
+        write_trajectory_csv(target, np.arange(3.0 * step),
+                             np.ones((2, 3 * step)))
+    assert calls == [step, step]
+    assert target.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["traj.csv"]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trajectory_csv_block_edges(tmp_path, dtype, extra):
+    # row counts around one block of rows, real and complex trajectories
+    n = 3
+    rows = _CSV_BLOCK // (2 * n + 1) + extra
+    rng = np.random.default_rng(rows)
+    x = (rng.standard_normal((n, rows))
+         * 10.0 ** rng.integers(-6, 18, (n, rows))).astype(dtype)
+    if dtype is complex:
+        x.imag = rng.standard_normal((n, rows))
+    x[:, ::101] = 0.0
+    x[0, 3::89] = -0.0
+    x[1, 7::53] = np.nan
+    x[2, 11::97] = -np.inf
+    t = np.linspace(0.0, 1.0, rows)
+    f = tmp_path / "traj.csv"
+    write_trajectory_csv(f, t, x)
+    assert f.read_bytes() == _per_element_csv(t, x).encode()
+
+
+def test_trajectory_csv_memory_flat_in_rows(tmp_path):
+    """The CSV is written block by block: no temporary grows with the rows."""
+    n = 3
+    rng = np.random.default_rng(29)
+
+    def peak(rows):
+        x = rng.standard_normal((n, rows)) + 1j * rng.standard_normal((n, rows))
+        t = np.linspace(0.0, 1.0, rows)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "traj.csv", t, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) <= 1.2 * peak(10_000)
 
 
 def test_malformed_pencil_json_raises(tmp_path):

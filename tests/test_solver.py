@@ -709,9 +709,78 @@ def test_fd_memory_flat_in_steps():
 
     small, large = 4 * BLOCK, 16 * BLOCK
     growth = peak(large) - peak(small)
-    # the staircase trajectory, U @ it and the shifted result: n x N each
-    outputs = 3 * p.n * (large - small) * 16
+    # the staircase trajectory and U @ it, shifted in place: n x N each
+    outputs = 2 * p.n * (large - small) * 16
     assert growth < 1.1 * outputs
+
+
+def _residuals_one_expression(p, report, f):
+    """residuals as one expression per residual, each array a temporary."""
+    t, x = report.times, report.trajectory
+    h = float(t[1] - t[0])
+    fv = f.sample(t)
+    Ex = p.E @ x
+    Ax = p.A @ x
+    xinf = float(np.max(np.linalg.norm(x, axis=0)))
+    finf = float(np.max(np.linalg.norm(fv, axis=0)))
+    scale = 1.0 + p.norm_E * xinf + p.norm_A * xinf + finf
+    classical = float(np.max(np.linalg.norm(
+        (-Ex[:, 4:] + 8 * Ex[:, 3:-1] - 8 * Ex[:, 1:-3] + Ex[:, :-4]) / (12 * h)
+        - Ax[:, 2:-2] - fv[:, 2:-2], axis=0))) / scale
+
+    def cumtrap(y):
+        out = np.zeros_like(y)
+        out[:, 1:] = np.cumsum(0.5 * h * (y[:, 1:] + y[:, :-1]), axis=1)
+        return out
+    defect = Ex - Ex[:, [0]] - p.A @ cumtrap(x) - cumtrap(fv)
+    return classical, float(np.max(np.linalg.norm(defect, axis=0))) / scale
+
+
+def _residual_cases():
+    """(pencil, report, forcing): RLC m = 10 on both paths, a complex
+    Weierstrass index-2 solve, and an implicit Euler trajectory, whose
+    columns are not contiguous."""
+    p = rlc_pencil(RLCConfig(m=10)).companion
+    t = np.linspace(0.0, 1.0, 301)
+    poly = PolynomialForcing(
+        [0.0, 0.5, 1.0],
+        [np.random.default_rng(s).standard_normal((p.n, 3)) for s in (1, 2)])
+    x0 = np.random.default_rng(3).standard_normal(p.n)
+    for f in (poly, SampledForcing(t, poly.sample(t))):
+        yield p, solve_decoupled(p, x0, f, t), f
+    q = random_index_pencil(43, 2, n_ode=3)
+    g = _smooth_forcing(q.n, 1.0, 5)
+    yield q, solve_decoupled(q, np.ones(q.n), g, t), g
+    yield p, implicit_euler_reference(p, x0, poly, t), poly
+
+
+def test_residuals_match_one_expression_bitwise():
+    cases = list(_residual_cases())
+    assert [c[1].method for c in cases] == [
+        "staircase-exact", "staircase-fd", "staircase-fd", "implicit-euler"]
+    assert np.iscomplexobj(cases[2][1].trajectory)
+    for p, rep, f in cases:
+        got = residuals(p, rep, f)
+        want = _residuals_one_expression(p, rep, f)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), rep.method
+
+
+def test_residuals_memory_in_trajectories():
+    """Besides the trajectory, residuals holds at most four arrays of its
+    size at once, plus numpy's fixed-size ufunc buffers (the one-expression
+    form held seven)."""
+    p = rlc_pencil(RLCConfig(m=10)).companion
+    t = np.linspace(0.0, 1.0, 4001)
+    f = PolynomialForcing.from_coeffs(
+        np.random.default_rng(6).standard_normal((p.n, 2)), 1.0)
+    rep = solve_decoupled(p, np.ones(p.n), f, t)
+    tracemalloc.start()
+    try:
+        residuals(p, rep, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rep.trajectory.nbytes + 2 ** 17
 
 
 def test_solve_takes_one_compressed_inverse(tmp_path, monkeypatch):
