@@ -82,6 +82,8 @@ class PolynomialForcing(ForcingSignal):
         out = np.zeros((self.dim, ts.size), dtype=np.result_type(*self.coeffs))
         for i in np.unique(pieces):
             cols = np.flatnonzero(pieces == i)
+            if cols[-1] - cols[0] == cols.size - 1:  # a range, as on sorted ts
+                cols = slice(cols[0], cols[-1] + 1)  # so += adds in place
             s = ts[cols] - self.breakpoints[i]
             c = self.coeffs[i]
             for j in range(order, c.shape[1]):

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-_BLOCK = 256  # grid times per batched evaluation in _solve_fd
+_BLOCK = 256  # grid times per batched evaluation in _solve_fd and residuals
 
 
 @dataclass
@@ -254,7 +254,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
     _check_forcing(f, t, p.n)
 
     stair = staircase_from_chain(p, build_chain(p, mu, side="right"))
-    k = stair.k
+    k, block_sizes = stair.k, list(stair.block_sizes)
     if k > 0 and f.max_derivative_order < k:
         raise InsufficientSmoothness(k, f.max_derivative_order)
 
@@ -264,6 +264,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
     else:
         traj = _solve_fd(p, stair, x0, f, t, h, mu)
         method = "staircase-fd"
+    del stair  # and its chain, before residuals allocates
 
     consistent_x0 = traj[:, 0].copy()
     correction = float(np.linalg.norm(x0 - consistent_x0))
@@ -271,7 +272,7 @@ def solve_decoupled(p: MatrixPencil, x0, f: ForcingSignal, t_grid,
         times=t, trajectory=traj, consistent_x0=consistent_x0,
         correction_norm=correction, classical_residual=np.nan,
         mild_residual=np.nan, mu_used=mu, index_k=k,
-        block_sizes=list(stair.block_sizes), method=method)
+        block_sizes=block_sizes, method=method)
     if t.size >= 5:
         cls_r, mild_r = residuals(p, report, f)
         report.classical_residual = cls_r
@@ -330,14 +331,19 @@ def _unshift(y, mu, t):
     return np.multiply(np.exp(mu * t)[None, :], y, out=y)
 
 
-def _cumulative_trapezoid(y, h) -> np.ndarray:
-    """Trapezoidal integrals of the columns of y with step(s) h, 0 first,
-    formed in the one array returned."""
+def _cumulative_trapezoid(y, h, carry=None) -> np.ndarray:
+    """Trapezoidal integrals of the columns of y with step h, formed in the
+    one array returned.  The first column is 0, or carry, the integral up
+    to y's first column when y is a later block of a grid; each step is
+    added to the running sum in turn, so blocks add as np.cumsum over the
+    whole grid does."""
     out = np.empty_like(y)
-    out[:, 0] = 0
+    out[:, 0] = 0 if carry is None else carry
     s = out[:, 1:]
     np.add(y[:, 1:], y[:, :-1], out=s)
     np.multiply(0.5 * h, s, out=s)
+    if carry is not None:
+        s = out
     np.cumsum(s, axis=1, out=s)
     return out
 
@@ -363,42 +369,66 @@ def residuals(p: MatrixPencil, report: SolveReport, f: ForcingSignal):
 
     Classical: 4th-order central differences of E x against A x + f at
     interior points.  Mild: trapezoidal form of the integrated equation.
-    Both normalized by the data magnitudes.  Besides the trajectory, at
-    most four arrays of its size are alive at once: the forcing samples,
-    E x, and two work arrays, used in turn by the stencil, A x, the
-    trapezoid sums, their product with A and the column norms.  Each
-    value is formed by the operations, in the order, of the one-expression
-    form shown in the comments, so it rounds as that form does.
+    Both normalized by the data magnitudes.  The three products with the
+    whole trajectory, A cumtrap(x), E x and A x, are one GEMM each (column
+    blocks of a product round differently); besides the trajectory, at
+    most two arrays of its size are alive at once: cumtrap(x) and A times
+    it, then A cumtrap(x) and E x for the mild residual, then E x and A x
+    for the classical one.  Everything else (the forcing samples, the
+    stencil, the trapezoid sums of the forcing and the column norms) is
+    formed _BLOCK grid times at a time, the forcing sampled once per block
+    of each pass.  Each value is formed by the operations, in the order,
+    of the one-expression form shown in the comments, so it rounds as
+    that form does.
     """
     t = report.times
     x = report.trajectory
     if t.size < 5:
         raise GridTooCoarse("residuals need at least 5 grid points")
     h = float(t[1] - t[0])
-    fv = f.sample(t)
-    xinf = _max_column_norm(x)
-    finf = _max_column_norm(fv)
+
+    # Ex - Ex[:, [0]] - A cumtrap(x) - cumtrap(fv), per block; the block's
+    # forcing samples start one column early to carry the trapezoid sums
+    Act = p.A @ _cumulative_trapezoid(x, h)
+    Ex = p.E @ x
+    ex0 = Ex[:, [0]]
+    xinf, finf, mild = [], [], []
+    carry = None
+    for c0 in range(0, t.size, _BLOCK):
+        c1 = min(c0 + _BLOCK, t.size)
+        lo = max(c0 - 1, 0)
+        fv = f.sample(t[lo:c1])
+        cum = _cumulative_trapezoid(fv, h, carry)
+        carry = cum[:, -1].copy()
+        xinf.append(_max_column_norm(x[:, c0:c1]))
+        finf.append(_max_column_norm(fv[:, c0 - lo:]))
+        defect = np.subtract(Ex[:, c0:c1], ex0)
+        defect = _minus(defect, Act[:, c0:c1])
+        defect = _minus(defect, cum[:, c0 - lo:])
+        mild.append(_max_column_norm(defect))
+        del fv, cum, defect
+    del Act
+    xinf, finf = float(np.max(xinf)), float(np.max(finf))
     scale = 1.0 + p.norm_E * xinf + p.norm_A * xinf + finf
 
     # (-Ex[:, 4:] + 8 Ex[:, 3:-1] - 8 Ex[:, 1:-3] + Ex[:, :-4]) / (12 h)
-    # - Ax[:, 2:-2] - fv[:, 2:-2], one operation at a time, in r
-    Ex = p.E @ x
-    r = np.negative(Ex[:, 4:])
-    w = np.multiply(8, Ex[:, 3:-1])
-    np.add(r, w, out=r)
-    np.multiply(8, Ex[:, 1:-3], out=w)
-    np.subtract(r, w, out=r)
-    del w
-    np.add(r, Ex[:, :-4], out=r)
-    np.divide(r, 12 * h, out=r)
-    r = _minus(r, (p.A @ x)[:, 2:-2])
-    r = _minus(r, fv[:, 2:-2])
-    classical = _max_column_norm(r) / scale
-    del r
-
-    # Ex - Ex[:, [0]] - A cumtrap(x) - cumtrap(fv), in Ex
-    np.subtract(Ex, Ex[:, [0]], out=Ex)
-    defect = _minus(Ex, p.A @ _cumulative_trapezoid(x, h))
-    defect = _minus(defect, _cumulative_trapezoid(fv, h))
-    mild = _max_column_norm(defect) / scale
-    return classical, mild
+    # - Ax[:, 2:-2] - fv[:, 2:-2] on the interior columns c0..c1 - 1 of a
+    # block, one operation at a time, in r
+    Ax = p.A @ x
+    classical = []
+    for c0 in range(2, t.size - 2, _BLOCK):
+        c1 = min(c0 + _BLOCK, t.size - 2)
+        e = Ex[:, c0 - 2:c1 + 2]
+        r = np.negative(e[:, 4:])
+        w = np.multiply(8, e[:, 3:-1])
+        np.add(r, w, out=r)
+        np.multiply(8, e[:, 1:-3], out=w)
+        np.subtract(r, w, out=r)
+        del w
+        np.add(r, e[:, :-4], out=r)
+        np.divide(r, 12 * h, out=r)
+        r = _minus(r, Ax[:, c0:c1])
+        r = _minus(r, f.sample(t[c0:c1]))
+        classical.append(_max_column_norm(r))
+        del r
+    return float(np.max(classical)) / scale, float(np.max(mild)) / scale

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,8 +230,27 @@ def test_polynomial_sample_matches_per_point_bitwise():
     f = PolynomialForcing([0.0, 0.7, 1.3, 2.0], coeffs)
     ts = np.concatenate([[-0.5, 0.0, 0.7, 1.3, 2.0, 2.5],
                          rng.uniform(0.0, 2.0, 200)])
-    for order in range(5):
-        got = f.sample(ts, order)
-        assert got.shape == (2, ts.size)
-        want = np.column_stack([_polynomial_reference(f, s, order) for s in ts])
-        assert got.tobytes() == want.tobytes()
+    # unsorted times, and sorted ones, whose pieces are column ranges
+    for ts in (ts, np.sort(ts)):
+        for order in range(5):
+            got = f.sample(ts, order)
+            assert got.shape == (2, ts.size)
+            want = np.column_stack([_polynomial_reference(f, s, order)
+                                    for s in ts])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_polynomial_sample_memory_in_outputs():
+    """On a sorted grid each piece adds into its column range in place, so
+    sample holds its output and one product term, not a gathered copy of
+    the columns and their sum besides."""
+    f = PolynomialForcing.from_coeffs(
+        np.random.default_rng(7).standard_normal((22, 3)), 1.0)
+    ts = np.linspace(0.0, 1.0, 4001)
+    tracemalloc.start()
+    try:
+        out = f.sample(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * out.nbytes

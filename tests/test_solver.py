@@ -754,21 +754,61 @@ def _residual_cases():
     yield p, implicit_euler_reference(p, x0, poly, t), poly
 
 
-def test_residuals_match_one_expression_bitwise():
-    cases = list(_residual_cases())
-    assert [c[1].method for c in cases] == [
-        "staircase-exact", "staircase-fd", "staircase-fd", "implicit-euler"]
-    assert np.iscomplexobj(cases[2][1].trajectory)
+def _assert_residuals_bitwise(cases):
     for p, rep, f in cases:
         got = residuals(p, rep, f)
         want = _residuals_one_expression(p, rep, f)
         assert np.array(got).tobytes() == np.array(want).tobytes(), rep.method
 
 
+def test_residuals_match_one_expression_bitwise():
+    cases = list(_residual_cases())
+    assert [c[1].method for c in cases] == [
+        "staircase-exact", "staircase-fd", "staircase-fd", "implicit-euler"]
+    assert np.iscomplexobj(cases[2][1].trajectory)
+    _assert_residuals_bitwise(cases)
+
+
+def test_residuals_match_one_expression_in_uneven_blocks(monkeypatch):
+    # 301 grid times, 297 interior ones: 37 divides neither
+    cases = list(_residual_cases())
+    monkeypatch.setattr(solver, "_BLOCK", 37)
+    _assert_residuals_bitwise(cases)
+
+
+def _straddle_cases(t):
+    """Real RLC m = 4 and complex Weierstrass index-2 trajectories on t, each
+    solved with a two-piece polynomial forcing and with its samples."""
+    rng = np.random.default_rng(9)
+    for p, phase in ((rlc_pencil(RLCConfig(m=4)).companion, 1.0),
+                     (random_index_pencil(43, 2, n_ode=3), np.exp(0.3j))):
+        poly = PolynomialForcing(
+            [0.0, t[t.size // 2], 1.0],
+            [phase * rng.standard_normal((p.n, 3)) for _ in range(2)])
+        for f in (poly, SampledForcing(t, poly.sample(t))):
+            yield p, solve_decoupled(p, rng.standard_normal(p.n), f, t), f
+
+
+@pytest.mark.parametrize("interior", (BLOCK - 1, BLOCK, BLOCK + 1))
+def test_residuals_across_a_block_edge_match_one_expression(interior):
+    """T - 4 interior points one fewer than a block, one block and one more:
+    the classical pass ends one point short of a block edge, on it and one
+    point past it, and the mild pass carries its trapezoid sums into a
+    short second block."""
+    t = np.linspace(0.0, 1.0, interior + 4)
+    cases = list(_straddle_cases(t))
+    assert [c[1].method for c in cases] == ["staircase-exact",
+                                            "staircase-fd"] * 2
+    assert [c[1].trajectory.dtype for c in cases] == [np.float64] * 2 + [
+        np.complex128] * 2
+    _assert_residuals_bitwise(cases)
+
+
 def test_residuals_memory_in_trajectories():
-    """Besides the trajectory, residuals holds at most four arrays of its
-    size at once, plus numpy's fixed-size ufunc buffers (the one-expression
-    form held seven)."""
+    """Besides the trajectory, residuals holds at most two arrays of its
+    size at once, plus the temporaries of one block of grid times: at most
+    six arrays of n x BLOCK floats, numpy's 64 KB ufunc buffer included
+    (the one-expression form held seven arrays of the trajectory's size)."""
     p = rlc_pencil(RLCConfig(m=10)).companion
     t = np.linspace(0.0, 1.0, 4001)
     f = PolynomialForcing.from_coeffs(
@@ -780,7 +820,8 @@ def test_residuals_memory_in_trajectories():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * rep.trajectory.nbytes + 2 ** 17
+    assert rep.trajectory.dtype == np.float64
+    assert peak <= 2 * rep.trajectory.nbytes + 6 * p.n * BLOCK * 8
 
 
 def test_solve_takes_one_compressed_inverse(tmp_path, monkeypatch):

@@ -16,7 +16,11 @@ RLC at m = 5/12/25/50, ``adae analyze``, ``adae demo weierstrass`` and
 solve grid: on RLC m = 8 with every component nonzero, with only its two
 boundary components nonzero and with every component zero, and with
 ``--cross-check`` and a nonzero ``--x0`` on Weierstrass pencils of index 1-2
-at seeds 0-4, component ``seed % n`` zero.  It prints one line per command:
+at seeds 0-4, component ``seed % n`` zero.  Last, on RLC m = 8 with a
+nonzero ``--x0``, ``adae solve`` with the cubic ``--forcing`` and with the
+51-sample ``--forcing-csv`` on grids of 255, 256 and 257 interior points
+(``--steps`` 258-260), one fewer than a residual block of 256 grid times,
+one block and one more.  It prints one line per command:
 its output directory (under the workload's name, or ``demo``/``extra``), its
 kind, its exit code (or the class of the exception that escaped), and the
 sha256 of each .json/.csv file there.
@@ -42,6 +46,7 @@ import math
 import sys
 import tempfile
 
+RESIDUAL_BLOCK = 256  # grid times per block of solver.residuals
 DEMOS = (["heat-wave"], ["rlc"], ["rlc", "--lossless"])
 WEIERSTRASS = (["analyze", "--model", "weierstrass"], ["demo", "weierstrass"],
                ["solve", "--model", "weierstrass", "--cross-check"])
@@ -144,6 +149,18 @@ def main(root):
                 run(adae_main, "solve", [*argv, "--x0", x0_arg(n),
                                          "--forcing-csv", csv, "--out", out],
                     out, tmp)
+        # residuals over grids whose T - 4 interior points straddle one
+        # block of RESIDUAL_BLOCK grid times
+        fj = os.path.join(tmp, "forcing-18.json")
+        write_forcing_json(fj, 18)
+        write_forcing_csv(csv, 18, range(18))
+        for steps in range(RESIDUAL_BLOCK + 2, RESIDUAL_BLOCK + 5):
+            for flag, path in (("--forcing", fj), ("--forcing-csv", csv)):
+                argv = ["solve", "--model", "rlc", "--m", "8",
+                        "--steps", str(steps), flag, path]
+                out = os.path.join(tmp, "extra", dirname(argv[:-1]))
+                run(adae_main, "solve", [*argv, "--x0", x0_arg(18),
+                                         "--out", out], out, tmp)
 
 
 if __name__ == "__main__":
